@@ -96,10 +96,7 @@ let check_aot path aot =
   let misses = dint "misses-warm" in
   if misses <> 0 then
     fail "%s: warm aot boot re-translated %d functions" path misses;
-  let supers = J.to_int (get "aot.superblocks" (J.member "superblocks" aot)) in
-  if supers <= 0 then fail "%s: aot translator formed no superblocks" path;
-  note "aot %.2fx (%d fns, %d disk hits, %d superblocks)" speedup compiled
-    hits supers
+  note "aot %.2fx (%d fns, %d disk hits)" speedup compiled hits
 
 (* the SMP schedule must be deterministic and semantically invisible:
    1 CPU bit-identical to the sequential run, aggregate check counts

@@ -80,13 +80,11 @@ let run file func args conf_name engine_name jit_threshold tcache_dir ranges
             (Sva_bytecode.Sha256.hex entry.Sva_bytecode.Signing.ce_bytecode)
       | None -> ());
       let vm = Pipeline.instantiate ~engine built in
-      let report_tier () =
+      let report_stats () =
         if engine.Pipeline.eng_kind <> Pipeline.Interp then
           Printf.printf "tiered:   %s\n"
             (Sva_rt.Stats.tier_to_string (Sva_rt.Stats.read_tier ()));
-        if ranges then
-          Printf.printf "ranges:   %s\n"
-            (Sva_rt.Stats.range_to_string (Sva_rt.Stats.read_range ()))
+        List.iter print_endline (Pipeline.build_facts built)
       in
       (* Emitted on every outcome: the trace is most useful when the run
          ended in a violation. *)
@@ -111,12 +109,12 @@ let run file func args conf_name engine_name jit_threshold tcache_dir ranges
             v
             (Sva_interp.Interp.steps vm)
             (Sva_interp.Interp.cycles vm);
-          report_tier ();
+          report_stats ();
           report_obs ();
           exit 0
       | None ->
           Printf.printf "%s returned void\n" func;
-          report_tier ();
+          report_stats ();
           report_obs ();
           exit 0
       | exception Sva_rt.Violation.Safety_violation v ->

@@ -95,18 +95,12 @@ let () =
   Printf.printf "booted: kernel_booted=%Ld (%d instructions)\n"
     (Boot.kernel_global t "kernel_booted")
     (Boot.steps t);
-  (* Range counters are build-time facts — snapshot them before the
-     measurement boundary, which resets every counter family at once.
-     (A check-only Stats.reset here used to leave boot-time promotions
-     in the workload tier report.)  The tier counters are snapshotted
-     too and merged back into the final report: under AOT the whole
+  (* The measurement boundary resets every counter family at once.  (A
+     check-only Stats.reset here used to leave boot-time promotions in
+     the workload tier report.)  The tier counters are snapshotted first
+     and merged back into the final report: under AOT the whole
      translation story (disk hits included) happens at instantiate,
      before this boundary. *)
-  let range_stats = Sva_rt.Stats.read_range () in
-  (* Same boundary rule for the pool-certification audit: the counts are
-     build-time facts, and reset_all below would zero them before the
-     report prints. *)
-  let pool_stats = Sva_rt.Stats.read_pool () in
   let tier_boot = Sva_rt.Stats.read_tier () in
   Sva_rt.Stats.reset_all ();
   Boot.reset_cycles t;
@@ -172,25 +166,11 @@ let () =
           b.Sva_rt.Stats.tcache_disk_stale + w.Sva_rt.Stats.tcache_disk_stale;
         tcache_disk_writes =
           b.Sva_rt.Stats.tcache_disk_writes + w.Sva_rt.Stats.tcache_disk_writes;
-        superblocks = b.Sva_rt.Stats.superblocks + w.Sva_rt.Stats.superblocks;
       }
     in
     Printf.printf "tiered:   %s\n" (Sva_rt.Stats.tier_to_string tier)
   end;
-  if ranges then
-    Printf.printf "ranges:   %s\n" (Sva_rt.Stats.range_to_string range_stats);
-  if poolcert then begin
-    Printf.printf "poolcert: %s\n" (Sva_rt.Stats.pool_to_string pool_stats);
-    match t.Boot.built.Pipeline.bl_poolcert with
-    | Some b ->
-        Printf.printf
-          "          %d TH + %d completeness + %d devirt certificates, \
-           all re-verified by the trusted checker\n"
-          (List.length b.Sva_safety.Poolev.pb_th)
-          (List.length b.Sva_safety.Poolev.pb_comp)
-          (List.length b.Sva_safety.Poolev.pb_dv)
-    | None -> ()
-  end;
+  List.iter print_endline (Pipeline.build_facts t.Boot.built);
   if races then begin
     Printf.printf "conc:     %s\n"
       (Sva_rt.Stats.conc_to_string (Sva_rt.Stats.read_conc ()));

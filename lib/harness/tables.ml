@@ -1099,7 +1099,6 @@ type tiered_data = {
   td_disk_hits : int;
   td_disk_stale : int;
   td_disk_writes : int;
-  td_superblocks : int;
 }
 
 (* Promote early in the bench so the warm-up pass already compiles the
@@ -1163,7 +1162,6 @@ let tiered_data ?(quick = false) () =
           td_disk_hits = tier.Sva_rt.Stats.tcache_disk_hits;
           td_disk_stale = tier.Sva_rt.Stats.tcache_disk_stale;
           td_disk_writes = tier.Sva_rt.Stats.tcache_disk_writes;
-          td_superblocks = tier.Sva_rt.Stats.superblocks;
         }
       in
       Hashtbl.replace td_cache quick d;
@@ -1267,7 +1265,6 @@ type aot_data = {
   ad_disk_hits_warm : int;
   ad_disk_stale_warm : int;
   ad_misses_warm : int;  (** re-translations in the warm boot (want 0) *)
-  ad_superblocks : int;  (** trace superblocks formed per boot *)
 }
 
 let ad_cache : (bool, aot_data) Hashtbl.t = Hashtbl.create 2
@@ -1341,7 +1338,6 @@ let aot_data ?(quick = false) () =
               ad_disk_hits_warm = warm.Sva_rt.Stats.tcache_disk_hits;
               ad_disk_stale_warm = warm.Sva_rt.Stats.tcache_disk_stale;
               ad_misses_warm = warm.Sva_rt.Stats.tcache_misses;
-              ad_superblocks = warm.Sva_rt.Stats.superblocks;
             })
       in
       Hashtbl.replace ad_cache quick d;
@@ -1371,13 +1367,13 @@ let aot ?(quick = false) ?(strict = false) () =
          signed translation store (SVA-Safe, Table 7 mix)"
       ~note:
         (Printf.sprintf
-           "Cold boot compiles %d functions (%d signed entries persisted, \
-            %d superblocks) in %.1fms; the warm boot simulates a second \
+           "Cold boot compiles %d functions (%d signed entries persisted) \
+            in %.1fms; the warm boot simulates a second \
             process against the populated store: %d verified disk hits, %d \
             re-translations, %.1fms.  Modeled cycles, steps and checks are \
             bit-identical to the interpreter's; warm hot-path speedup \
             %.1fx (>= %.1fx under --strict)."
-           d.ad_promotions d.ad_disk_writes_cold d.ad_superblocks
+           d.ad_promotions d.ad_disk_writes_cold
            (d.ad_boot_cold_ns /. 1e6)
            d.ad_disk_hits_warm d.ad_misses_warm
            (d.ad_boot_warm_ns /. 1e6)
@@ -1419,8 +1415,6 @@ let aot ?(quick = false) ?(strict = false) () =
            [ Printf.sprintf
                "warm boot re-translated %d functions against a populated store"
                d.ad_misses_warm ]);
-        (if d.ad_superblocks > 0 then []
-         else [ "translator formed no trace superblocks" ]);
         (if (not strict) || d.ad_speedup >= aot_speedup_floor then []
          else
            [ Printf.sprintf
@@ -2254,7 +2248,6 @@ let tiered_json ?(quick = false) () =
                ("disk-hits", J.Int d.td_disk_hits);
                ("disk-stale", J.Int d.td_disk_stale);
                ("disk-writes", J.Int d.td_disk_writes) ]);
-      ("superblocks", J.Int d.td_superblocks);
     ]
 
 let aot_json ?(quick = false) () =
@@ -2288,7 +2281,6 @@ let aot_json ?(quick = false) () =
                ("hits-warm", J.Int d.ad_disk_hits_warm);
                ("stale-warm", J.Int d.ad_disk_stale_warm);
                ("misses-warm", J.Int d.ad_misses_warm) ]);
-      ("superblocks", J.Int d.ad_superblocks);
     ]
 
 let ranges_json () =

@@ -156,7 +156,6 @@ type tiered_data = {
   td_disk_hits : int;
   td_disk_stale : int;
   td_disk_writes : int;
-  td_superblocks : int;
 }
 
 val tiered_data : ?quick:bool -> unit -> tiered_data
@@ -174,7 +173,6 @@ type aot_data = {
   ad_disk_hits_warm : int;
   ad_disk_stale_warm : int;
   ad_misses_warm : int;  (** re-translations in the warm boot (want 0) *)
-  ad_superblocks : int;  (** trace superblocks formed per boot *)
 }
 
 val aot_data : ?quick:bool -> unit -> aot_data

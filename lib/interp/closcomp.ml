@@ -701,95 +701,6 @@ let cblock t fname (labels : string array) bi (pb : I.pblock) : cblock =
       | None -> cterm t fname bi pb.I.pb_term);
   }
 
-(* ---------- trace superblocks ----------
-
-   Per-block fused chains already kill the interpreter's per-instruction
-   dispatch; superblocks kill the per-BLOCK dispatch on hot paths.  At
-   translation time we pick trace heads (the entry block plus every
-   back-edge target, i.e. loop headers) and grow each into a linear
-   trace of likely successors — by the dynamic edge profile the
-   interpreter recorded while the function was still cold
-   ([pf_edges]), falling back to a static heuristic (prefer back
-   edges, then the first-listed target) when no profile exists, as in
-   AOT mode.  At run time a trace executes its blocks back-to-back,
-   looping in place when control returns to the head; any other
-   successor is a side exit back to the generic dispatch loop.
-
-   Crucially a superblock reuses the SAME compiled phi/body/term
-   closures a standalone block uses — only the dispatch between blocks
-   changes — so cycles, steps, checks, traps and results are
-   bit-identical with superblocks on or off. *)
-
-let max_trace_len = 16
-
-let static_succs (term : I.pterm) =
-  match term with
-  | I.P_ret _ | I.P_unreachable -> []
-  | I.P_jmp ix -> [ ix ]
-  | I.P_br (_, th, el) -> [ th; el ]
-  | I.P_switch (_, cases, default) ->
-      Array.to_list (Array.map snd cases) @ [ default ]
-
-(* Linear trace of block indices starting at [head]; [ixs.(0) = head]. *)
-type strace = { st_blocks : int array }
-
-let form_traces (pf : I.prepared_func) : strace option array =
-  let blocks = pf.I.pf_blocks in
-  let nblocks = Array.length blocks in
-  let succs bi = static_succs blocks.(bi).I.pb_term in
-  let edge_count bi s =
-    match pf.I.pf_edges with
-    | None -> 0
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl ((bi * nblocks) + s) with
-        | Some r -> !r
-        | None -> 0)
-  in
-  let preferred bi =
-    match succs bi with
-    | [] -> None
-    | [ s ] -> Some s
-    | s0 :: _ as ss ->
-        let scored = List.map (fun s -> (s, edge_count bi s)) ss in
-        let maxc = List.fold_left (fun a (_, c) -> max a c) 0 scored in
-        if maxc > 0 then
-          (* hottest edge; ties resolve to the first-listed target *)
-          Some (fst (List.find (fun (_, c) -> c = maxc) scored))
-        else begin
-          (* no profile: prefer a back edge (loop continuation), then
-             the first-listed (then-) target *)
-          match List.find_opt (fun (s, _) -> s <= bi) scored with
-          | Some (s, _) -> Some s
-          | None -> Some s0
-        end
-  in
-  let is_head = Array.make nblocks false in
-  if nblocks > 0 then is_head.(0) <- true;
-  for bi = 0 to nblocks - 1 do
-    List.iter (fun s -> if s <= bi then is_head.(s) <- true) (succs bi)
-  done;
-  let grow head =
-    let in_trace = Array.make nblocks false in
-    in_trace.(head) <- true;
-    let rec go acc last len =
-      if len >= max_trace_len then List.rev acc
-      else
-        match preferred last with
-        | None -> List.rev acc
-        | Some s when in_trace.(s) -> List.rev acc
-        | Some s ->
-            in_trace.(s) <- true;
-            go (s :: acc) s (len + 1)
-    in
-    go [ head ] head 1
-  in
-  Array.init nblocks (fun bi ->
-      if not is_head.(bi) then None
-      else
-        match grow bi with
-        | _ :: _ :: _ as ixs -> Some { st_blocks = Array.of_list ixs }
-        | _ -> None)
-
 (* ---------- function compilation ---------- *)
 
 let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
@@ -799,11 +710,6 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   let nscratch = max 1 pf.I.pf_max_phis in
   let labels = Array.map (fun b -> b.I.pb_label) pf.I.pf_blocks in
   let blocks = Array.mapi (cblock t fname labels) pf.I.pf_blocks in
-  let traces = form_traces pf in
-  Stats.add_superblocks
-    (Array.fold_left
-       (fun acc tr -> match tr with Some _ -> acc + 1 | None -> acc)
-       0 traces);
   let run_block (cb : cblock) fr =
     (match cb.cb_phis with Some p -> p fr | None -> ());
     let body = cb.cb_body in
@@ -811,27 +717,6 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
       body.(k) fr
     done;
     cb.cb_term fr
-  in
-  (* Execute a trace from its head: stay on the trace while control
-     follows it (or re-enters the head — a loop), side-exit with the
-     actual successor otherwise.  Returns the next block index, -1 for
-     return. *)
-  let run_trace (tr : strace) fr =
-    let ixs = tr.st_blocks in
-    let n = Array.length ixs in
-    let k = ref 0 in
-    let out = ref min_int in
-    while !out = min_int do
-      let nxt = run_block blocks.(ixs.(!k)) fr in
-      if nxt < 0 then out := -1
-      else begin
-        let k' = !k + 1 in
-        if k' < n && nxt = ixs.(k') then k := k'
-        else if nxt = ixs.(0) then k := 0
-        else out := nxt
-      end
-    done;
-    !out
   in
   fun args ->
     let fr =
@@ -844,15 +729,10 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
     in
     List.iteri (fun i v -> if i < nregs then fr.regs.(i) <- v) args;
     let sp_save = t.I.sp in
+    (* [run_block] returns the next block index, or -1 on return. *)
     let cur = ref 0 in
-    let running = ref true in
-    while !running do
-      let nxt =
-        match traces.(!cur) with
-        | Some tr -> run_trace tr fr
-        | None -> run_block blocks.(!cur) fr
-      in
-      if nxt < 0 then running := false else cur := nxt
+    while !cur >= 0 do
+      cur := run_block blocks.(!cur) fr
     done;
     (* Restored only on normal return, like the interpreter: a trap
        unwinds through [I.call], which resets the stack allocator. *)

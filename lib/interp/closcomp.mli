@@ -32,10 +32,8 @@ val compile_all : Interp.t -> unit
 
 val build : Interp.t -> Interp.prepared_func -> int64 list -> int64 option
 (** Compile a prepared function to its closure-tree entry point,
-    bypassing the translation cache (exposed for tests).  Block dispatch
-    uses trace superblocks: linear multi-block traces grown from loop
-    headers along profiled (or statically likely) edges, with side exits
-    back to generic dispatch — semantics and counters unchanged. *)
+    bypassing the translation cache (exposed for tests).  Compiled
+    blocks are dispatched one at a time by index. *)
 
 val translate :
   Interp.t -> Interp.prepared_func -> int64 list -> int64 option

@@ -112,11 +112,6 @@ and prepared_func = {
   pf_max_phis : int;
   mutable pf_calls : int;
   mutable pf_entry : (int64 list -> int64 option) option;
-  mutable pf_edges : (int, int ref) Hashtbl.t option;
-      (** dynamic edge profile ([prev * nblocks + cur] -> taken count),
-          recorded while interpreted under an installed JIT; consumed by
-          the translator's superblock trace selection.  Pure host-side
-          bookkeeping — never visible in modeled cycles or counters. *)
 }
 
 type t = {

@@ -177,6 +177,11 @@ let load_file path =
 
 (* ---------- building ---------- *)
 
+(* [pchk_lscheck]s the lint prover elided on range-widened proofs. *)
+let range_ls_elided = function
+  | Some r -> r.Sva_lint.Lint.lr_range_geps
+  | None -> 0
+
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
     ?(options = Checkinsert.default_options) ?(typecheck = true)
     ?(clone = false) ?(devirt = false) ?(checkopt = false) ?(lint = false)
@@ -279,20 +284,11 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
             Sva_tyck.Rangecert.check ~entries:(Interval.entry_config rr) m b
           with
           | [] ->
-              let cb, cl = Interval.cert_counts rr in
-              let ls_elided =
-                match lint_res with
-                | Some r -> r.Sva_lint.Lint.lr_range_geps
-                | None -> 0
-              in
-              Sva_rt.Stats.add_range_bounds_elided summary.Checkinsert.bounds_static_range;
-              Sva_rt.Stats.add_range_ls_elided ls_elided;
-              Sva_rt.Stats.add_range_facts (Interval.fact_count rr);
-              Sva_rt.Stats.add_range_cert_checks (cb + cl);
               if !Sva_rt.Trace.active then begin
                 Sva_rt.Trace.emit_range_elide ~what:"bounds"
                   ~count:summary.Checkinsert.bounds_static_range;
-                Sva_rt.Trace.emit_range_elide ~what:"ls" ~count:ls_elided
+                Sva_rt.Trace.emit_range_elide ~what:"ls"
+                  ~count:(range_ls_elided lint_res)
               end
           | errs ->
               failwith
@@ -306,13 +302,9 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
       (match pbundle with
       | None -> ()
       | Some b -> (
-          let certs = Poolev.cert_count b in
-          Sva_rt.Stats.add_pool_certs_emitted certs;
-          Sva_rt.Stats.add_pool_elisions (Poolev.elision_count b);
           match Sva_tyck.Poolcert.check ~config:aconfig m b with
-          | [] -> Sva_rt.Stats.add_pool_certs_verified certs
+          | [] -> ()
           | errs ->
-              Sva_rt.Stats.add_pool_certs_rejected certs;
               failwith
                 ("pool-safety certificate checking failed:\n"
                 ^ String.concat "\n"
@@ -368,6 +360,43 @@ let build ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt ?lint
   let m = compile ~pipeline ~name sources in
   build_module ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt
     ?lint ?lint_config ?ranges ?races ?poolcert ~name m
+
+(* Every number here is a fact of the built image itself, so two builds
+   in one process report independently and no counter reset can lose
+   them.  A build whose certificates were rejected never returns, hence
+   verified = emitted and rejected = 0. *)
+let build_facts built =
+  let ranges =
+    match (built.bl_ranges, built.bl_summary) with
+    | Some rr, Some summary ->
+        let cb, cl = Interval.cert_counts rr in
+        [
+          Printf.sprintf
+            "ranges:   range-elided bounds=%d ls=%d facts=%d certs-verified=%d"
+            summary.Checkinsert.bounds_static_range
+            (range_ls_elided built.bl_lint)
+            (Interval.fact_count rr) (cb + cl);
+        ]
+    | _ -> []
+  in
+  let poolcert =
+    match built.bl_poolcert with
+    | Some b ->
+        let certs = Poolev.cert_count b in
+        [
+          Printf.sprintf
+            "poolcert: pool-certs emitted=%d verified=%d rejected=0 elisions=%d"
+            certs certs (Poolev.elision_count b);
+          Printf.sprintf
+            "          %d TH + %d completeness + %d devirt certificates, all \
+             re-verified by the trusted checker"
+            (List.length b.Poolev.pb_th)
+            (List.length b.Poolev.pb_comp)
+            (List.length b.Poolev.pb_dv);
+        ]
+    | None -> []
+  in
+  ranges @ poolcert
 
 let instantiate ?sys ?(engine = default_engine) ?(smp = default_smp) built =
   let mode =

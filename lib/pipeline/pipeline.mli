@@ -236,6 +236,14 @@ val build_module :
     decoded from bytecode by {!load_source}).  The optimization passes
     are assumed to have run. *)
 
+val build_facts : built -> string list
+(** The build-time certification report, read from the image: a
+    [ranges:] line when built with [~ranges:true] (checks elided on
+    verified interval certificates, facts, certificates re-verified) and
+    [poolcert:] lines when built with [~poolcert:true] (certificates
+    emitted and verified, elisions they justify, per-kind counts).
+    Empty for a build with neither. *)
+
 val instantiate :
   ?sys:Sva_os.Svaos.t -> ?engine:engine_config -> ?smp:smp_config -> built ->
   Sva_interp.Interp.t

@@ -85,33 +85,11 @@ let prop_icmp_matches_interp =
 
 (* ---------- random MiniC programs: pipelines agree ---------- *)
 
-(* Generate a random arithmetic expression over variables a, b, c using
-   operators that cannot trap (no division). *)
-let rec gen_expr rng depth =
-  if depth = 0 then
-    match Random.State.int rng 4 with
-    | 0 -> "a"
-    | 1 -> "b"
-    | 2 -> "c"
-    | _ -> string_of_int (Random.State.int rng 2000 - 1000)
-  else
-    let l = gen_expr rng (depth - 1) and r = gen_expr rng (depth - 1) in
-    match Random.State.int rng 9 with
-    | 0 -> Printf.sprintf "(%s + %s)" l r
-    | 1 -> Printf.sprintf "(%s - %s)" l r
-    | 2 -> Printf.sprintf "(%s * %s)" l r
-    | 3 -> Printf.sprintf "(%s & %s)" l r
-    | 4 -> Printf.sprintf "(%s | %s)" l r
-    | 5 -> Printf.sprintf "(%s ^ %s)" l r
-    | 6 -> Printf.sprintf "(%s << %d)" l (Random.State.int rng 8)
-    | 7 -> Printf.sprintf "(%s >> %d)" l (Random.State.int rng 8)
-    | _ -> Printf.sprintf "(%s < %s ? %s : %s)" l r l r
-
 let gen_program seed =
   let rng = Random.State.make [| seed |] in
-  let e1 = gen_expr rng 3 in
-  let e2 = gen_expr rng 3 in
-  let e3 = gen_expr rng 2 in
+  let e1 = Randexpr.gen_expr rng 3 in
+  let e2 = Randexpr.gen_expr rng 3 in
+  let e3 = Randexpr.gen_expr rng 2 in
   Printf.sprintf
     "int f(int a, int b) {\n\
     \  int c = %s;\n\

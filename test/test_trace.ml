@@ -87,30 +87,12 @@ let test_disabled_zero_alloc () =
 
 (* ---------- differential: tracing is semantically invisible ---------- *)
 
-(* Same generator shape as test_tiered: random arithmetic with a helper
-   call in a loop, plus a global-array variant that exercises object
-   registration and bounds/ls checks. *)
-let rec gen_expr rng depth =
-  if depth = 0 then
-    match Random.State.int rng 4 with
-    | 0 -> "a"
-    | 1 -> "b"
-    | 2 -> "c"
-    | _ -> string_of_int (Random.State.int rng 2000 - 1000)
-  else
-    let l = gen_expr rng (depth - 1) and r = gen_expr rng (depth - 1) in
-    match Random.State.int rng 6 with
-    | 0 -> Printf.sprintf "(%s + %s)" l r
-    | 1 -> Printf.sprintf "(%s - %s)" l r
-    | 2 -> Printf.sprintf "(%s * %s)" l r
-    | 3 -> Printf.sprintf "(%s & %s)" l r
-    | 4 -> Printf.sprintf "(%s ^ %s)" l r
-    | _ -> Printf.sprintf "(%s < %s ? %s : %s)" l r l r
-
+(* A helper call in a loop over a global array, so the run exercises
+   object registration and bounds/ls checks. *)
 let gen_program seed =
   let rng = Random.State.make [| seed |] in
-  let e1 = gen_expr rng 3 in
-  let e2 = gen_expr rng 2 in
+  let e1 = Randexpr.gen_expr rng 3 in
+  let e2 = Randexpr.gen_expr rng 2 in
   let mask = (1 lsl (1 + Random.State.int rng 5)) - 1 in
   Printf.sprintf
     "int tbl[32];\n\

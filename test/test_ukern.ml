@@ -373,6 +373,83 @@ let test_dynamic_module_cfi_on_safe_kernel () =
        ~default:(-1L));
   check64 "checked module syscall" 4243L (Boot.syscall t2 40 [ 1L ])
 
+let test_fault_drops_stack_objects () =
+  (* A trap unwinds every frame of the faulting syscall.  The stack
+     objects those frames registered must go with them: a stale one
+     would make the next registration at the same address collide, and
+     a dangling pointer into the dead frame would still pass checks.
+     Linking mutates the image's module, so this test builds its own. *)
+  let v = Ukern.Kbuild.as_tested in
+  let t =
+    Boot.boot_built (Ukern.Kbuild.build ~conf:Pipeline.Sva_safe v) ~variant:v
+  in
+  link_hellomod t;
+  let live () =
+    List.map
+      (fun (id, mp) -> (id, Sva_rt.Metapool_rt.live_objects mp))
+      (Sva_interp.Interp.metapools t.Boot.vm)
+  in
+  Boot.write_user t 0 "after.txt\000";
+  let open_close () =
+    let fd = Boot.syscall t n_open [ Boot.user_addr t 0; 1L ] in
+    Alcotest.(check bool) "open" true (fd >= 0L);
+    check64 "close" 0L (Boot.syscall t n_close [ fd ])
+  in
+  (* create the file first, so the reopen below allocates nothing new *)
+  open_close ();
+  let before = live () in
+  (match Boot.syscall t 40 [ 1L ] with
+  | _ -> Alcotest.fail "unknown module handler must fail CFI"
+  | exception Sva_rt.Violation.Safety_violation _ -> ());
+  Alcotest.(check (list (pair int int))) "live objects after fault" before
+    (live ());
+  check64 "getpid" 1L (Boot.syscall t n_getpid []);
+  open_close ();
+  Alcotest.(check (list (pair int int))) "live objects after syscalls" before
+    (live ())
+
+let test_build_facts () =
+  (* The ranges:/poolcert: report is read from the built image, so it
+     must match the image's own certificate bundles, and a second build
+     in the same process must report the same numbers rather than a
+     running total. *)
+  let build () =
+    Ukern.Kbuild.build ~conf:Pipeline.Sva_safe ~ranges:true ~poolcert:true
+      Ukern.Kbuild.as_tested
+  in
+  let b = build () in
+  let rb = Sva_analysis.Interval.bundle (Option.get b.Pipeline.bl_ranges) in
+  let pb = Option.get b.Pipeline.bl_poolcert in
+  let summary = Option.get b.Pipeline.bl_summary in
+  let facts =
+    Hashtbl.fold (fun _ fs n -> n + Array.length fs) rb.Sva_analysis.Interval.cb_facts 0
+  in
+  let certs = List.length rb.Sva_analysis.Interval.cb_certs in
+  let th = List.length pb.Sva_safety.Poolev.pb_th
+  and comp = List.length pb.Sva_safety.Poolev.pb_comp
+  and dv = List.length pb.Sva_safety.Poolev.pb_dv in
+  let elisions = List.length pb.Sva_safety.Poolev.pb_elisions in
+  Alcotest.(check bool) "ranges elided bounds checks" true
+    (summary.Sva_safety.Checkinsert.bounds_static_range > 0 && certs > 0);
+  Alcotest.(check bool) "pool certificates emitted" true
+    (th + comp > 0 && elisions > 0);
+  Alcotest.(check (list string)) "report matches the bundles"
+    [
+      Printf.sprintf
+        "ranges:   range-elided bounds=%d ls=0 facts=%d certs-verified=%d"
+        summary.Sva_safety.Checkinsert.bounds_static_range facts certs;
+      Printf.sprintf
+        "poolcert: pool-certs emitted=%d verified=%d rejected=0 elisions=%d"
+        (th + comp + dv) (th + comp + dv) elisions;
+      Printf.sprintf
+        "          %d TH + %d completeness + %d devirt certificates, all \
+         re-verified by the trusted checker"
+        th comp dv;
+    ]
+    (Pipeline.build_facts b);
+  Alcotest.(check (list string)) "a second build reports the same numbers"
+    (Pipeline.build_facts b) (Pipeline.build_facts (build ()))
+
 let test_safe_kernel_stats_move () =
   (* under Sva_safe, syscalls actually exercise run-time checks *)
   let t = kernel Pipeline.Sva_safe in
@@ -448,6 +525,9 @@ let () =
       ( "safety",
         [
           Alcotest.test_case "checks exercised" `Quick test_safe_kernel_stats_move;
+          Alcotest.test_case "fault drops stack objects" `Quick
+            test_fault_drops_stack_objects;
+          Alcotest.test_case "build facts report" `Quick test_build_facts;
           Alcotest.test_case "configs agree" `Quick test_confs_agree_on_results;
         ] );
     ]
