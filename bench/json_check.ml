@@ -39,45 +39,23 @@ let check_lint path lint =
     fail "%s: check reduction %d-%d does not match proved-static %d" path off on proved;
   note "%d accesses proved, %d checks elided" proofs proved
 
-(* the second tier must be semantically invisible (the modeled numbers
-   agree bit-for-bit across engines) and faster *)
-let check_tiered path tiered =
-  let pair section =
-    let o = get ("tiered." ^ section) (J.member section tiered) in
-    ( get (section ^ ".interp") (J.member "interp" o),
-      get (section ^ ".tiered") (J.member "tiered" o) )
-  in
-  let ci, ct = pair "cycles-per-op" in
-  if J.to_float ci <> J.to_float ct then
-    fail "%s: tiered engine changed modeled cycles (%f vs %f)" path
-      (J.to_float ci) (J.to_float ct);
-  let ki, kt = pair "checks-per-op" in
-  if J.to_int ki <> J.to_int kt then
-    fail "%s: tiered engine changed check counts (%d vs %d)" path
-      (J.to_int ki) (J.to_int kt);
-  let speedup = J.to_float (get "tiered.host-speedup" (J.member "host-speedup" tiered)) in
-  if speedup <= 0.0 then fail "%s: tiered host-speedup %f not positive" path speedup;
-  let promos = J.to_int (get "tiered.promotions" (J.member "promotions" tiered)) in
-  if promos <= 0 then fail "%s: tiered engine promoted no functions" path;
-  note "tiered %.2fx" speedup
-
 (* whole-kernel AOT against a warm persistent store: bit-identical to
    the interpreter, every translation reused from disk, none redone *)
 let check_aot path aot =
-  let triple section =
+  let pair section =
     let o = get ("aot." ^ section) (J.member section aot) in
     ( get (section ^ ".interp") (J.member "interp" o),
       get (section ^ ".aot") (J.member "aot" o) )
   in
-  let ci, ca = triple "cycles-per-op" in
+  let ci, ca = pair "cycles-per-op" in
   if J.to_float ci <> J.to_float ca then
     fail "%s: aot engine changed modeled cycles (%f vs %f)" path
       (J.to_float ci) (J.to_float ca);
-  let si, sa = triple "steps-per-op" in
+  let si, sa = pair "steps-per-op" in
   if J.to_float si <> J.to_float sa then
     fail "%s: aot engine changed step counts (%f vs %f)" path
       (J.to_float si) (J.to_float sa);
-  let ki, ka = triple "checks-per-op" in
+  let ki, ka = pair "checks-per-op" in
   if J.to_int ki <> J.to_int ka then
     fail "%s: aot engine changed check counts (%d vs %d)" path
       (J.to_int ki) (J.to_int ka);
@@ -325,7 +303,6 @@ let checkers =
   [
     ("lint", check_lint);
     ("smp", check_smp);
-    ("tiered", check_tiered);
     ("aot", check_aot);
     ("ranges", check_ranges);
     ("race", check_race);

@@ -11,9 +11,9 @@
                                          -- also write machine-readable
                                             numbers for the data-bearing
                                             sections (fastpath, smp,
-                                            tiered, aot, table7, lint,
-                                            ranges, race, poolcert,
-                                            trace) that were run
+                                            aot, table7, lint, ranges,
+                                            race, poolcert, trace) that
+                                            were run
 
    Unknown flags and unknown section names are errors (exit 2): a typo
    must not silently select nothing and report success.  A section that
@@ -35,7 +35,7 @@ let known_sections =
   [
     "table4"; "figure2"; "checks"; "lint"; "ranges"; "race"; "poolcert";
     "table7"; "table8"; "table5"; "table6"; "table9"; "ablation"; "fastpath";
-    "smp"; "tiered"; "aot"; "trace"; "exploits"; "verifier"; "bechamel";
+    "smp"; "aot"; "trace"; "exploits"; "verifier"; "bechamel";
   ]
 
 let usage () =
@@ -81,9 +81,9 @@ let section name f =
   if wanted name then begin
     Printf.printf "\n";
     (* Measurement boundary: the closure-compiler's translation cache and
-       tier counters are process globals, so a section that warmed the
-       second tier must not hand the next section pre-promoted functions
-       or inflated counters. *)
+       tier counters are process globals, so a section that compiled
+       functions must not hand the next section cached translations or
+       inflated counters. *)
     Sva_interp.Closcomp.clear_cache ();
     Sva_rt.Stats.reset_tier ();
     (try print_string (f ())
@@ -201,15 +201,13 @@ let bechamel_crosscheck () =
       with_cache false (fun () -> Harness.Workloads.op_open_close safe));
   med "open-close/sva-safe/cache-on" (fun () ->
       with_cache true (fun () -> Harness.Workloads.op_open_close safe));
-  (* Tiered-engine A/B: the same checked kernel image on the pre-decoded
-     interpreter vs the closure-compiled second tier (warmed so the hot
-     functions are already promoted). *)
-  let tiered =
+  (* Engine A/B: the same checked kernel image on the pre-decoded
+     interpreter vs the whole-kernel AOT closure compiler. *)
+  let aot =
     let b = Ukern.Kbuild.build ~conf:Pipeline.Sva_safe Ukern.Kbuild.as_tested in
     let t =
-      Boot.boot_built
-        ~engine:{ Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = 2 }
-        b ~variant:Ukern.Kbuild.as_tested
+      Boot.boot_built ~engine:Pipeline.aot_engine b
+        ~variant:Ukern.Kbuild.as_tested
     in
     let ctx = Harness.Workloads.prepare t in
     for _ = 1 to 3 do
@@ -219,8 +217,8 @@ let bechamel_crosscheck () =
   in
   med "open-close/sva-safe/interp" (fun () ->
       Harness.Workloads.op_open_close safe);
-  med "open-close/sva-safe/tiered" (fun () ->
-      Harness.Workloads.op_open_close tiered);
+  med "open-close/sva-safe/aot" (fun () ->
+      Harness.Workloads.op_open_close aot);
   Buffer.contents buf
 
 let () =
@@ -246,7 +244,6 @@ let () =
   section "fastpath" (fun () ->
       Tables.fastpath ~quick:!quick ~strict:!strict ());
   section "smp" (fun () -> Tables.smp ~quick:!quick ~strict:!strict ());
-  section "tiered" (fun () -> Tables.tiered ~quick:!quick ~strict:!strict ());
   section "aot" (fun () -> Tables.aot ~quick:!quick ~strict:!strict ());
   section "trace" (fun () -> Tables.trace ~quick:!quick ~strict:!strict ());
   section "exploits" (fun () -> Tables.exploits_table ());
@@ -274,7 +271,6 @@ let () =
           [
             ("fastpath", fun () -> Tables.fastpath_json ~quick:!quick ());
             ("smp", fun () -> Tables.smp_json ~quick:!quick ());
-            ("tiered", fun () -> Tables.tiered_json ~quick:!quick ());
             ("aot", fun () -> Tables.aot_json ~quick:!quick ());
             ("table7", fun () -> Tables.table7_json ~quick:!quick ());
             ("lint", fun () -> Tables.lint_json ());

@@ -5,8 +5,7 @@
    to avoid inserting a second set of checks.
 
      sva_run FILE [-f FUNC] [-a INT]... [--conf native|gcc|llvm|safe]
-             [--engine interp|tiered|aot] [--jit-threshold N]
-             [--tcache-dir DIR] [--ranges]
+             [--engine interp|aot] [--tcache-dir DIR] [--ranges]
              [--trace[=N]] [--trace-out FILE] [--profile]
              [--dump-ir] [--emit-bytecode OUT]
 
@@ -18,30 +17,10 @@
 open Cmdliner
 module Pipeline = Sva_pipeline.Pipeline
 
-let conf_of_string = function
-  | "native" -> Pipeline.Native
-  | "gcc" -> Pipeline.Sva_gcc
-  | "llvm" -> Pipeline.Sva_llvm
-  | "safe" -> Pipeline.Sva_safe
-  | s -> failwith ("unknown configuration " ^ s)
-
-let engine_of_string = function
-  | "interp" -> Pipeline.Interp
-  | "tiered" -> Pipeline.Tiered
-  | "aot" -> Pipeline.Aot
-  | s -> failwith ("unknown engine " ^ s)
-
-let run file func args conf_name engine_name jit_threshold tcache_dir ranges
-    trace trace_out profile dump_ir emit_bytecode =
+let run file func args conf eng_kind tcache_dir ranges trace trace_out profile
+    dump_ir emit_bytecode =
   let source = In_channel.with_open_bin file In_channel.input_all in
-  let conf = conf_of_string conf_name in
-  let engine =
-    {
-      Pipeline.eng_kind = engine_of_string engine_name;
-      eng_threshold = jit_threshold;
-      eng_tcache_dir = tcache_dir;
-    }
-  in
+  let engine = { Pipeline.eng_kind; eng_tcache_dir = tcache_dir } in
   let obs =
     {
       Pipeline.obs_trace =
@@ -133,21 +112,28 @@ let func =
 
 let args = Arg.(value & opt_all int [] & info [ "a"; "arg" ] ~docv:"INT")
 
+(* The --conf and --engine values come from the pipeline's own lists,
+   so a bad value is a usage error.  A configuration is spelled by the
+   last word of its name: Linux-SVA-Safe is "safe". *)
 let conf =
-  Arg.(value & opt string "safe" & info [ "conf" ] ~docv:"CONF"
-         ~doc:"Pipeline configuration: native, gcc, llvm or safe.")
+  let spelling c =
+    let n = Pipeline.conf_name c in
+    let i = String.rindex n '-' + 1 in
+    (String.lowercase_ascii (String.sub n i (String.length n - i)), c)
+  in
+  Arg.(value
+       & opt (enum (List.map spelling Pipeline.all_confs)) Pipeline.Sva_safe
+       & info [ "conf" ] ~docv:"CONF"
+           ~doc:"Pipeline configuration: native, gcc, llvm or safe.")
 
 let engine =
-  Arg.(value & opt string "interp" & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Execution engine: interp (pre-decoded interpreter), \
-               tiered (closure-compiled hot functions with a signed \
-               translation cache) or aot (whole-kernel closure \
-               compilation at instantiate time, no warmup).")
-
-let jit_threshold =
-  Arg.(value & opt int Pipeline.default_jit_threshold
-       & info [ "jit-threshold" ] ~docv:"N"
-           ~doc:"Calls before the tiered engine promotes a function.")
+  let spelling e = (Pipeline.engine_name e, e) in
+  Arg.(value
+       & opt (enum (List.map spelling Pipeline.all_engines)) Pipeline.Interp
+       & info [ "engine" ] ~docv:"ENGINE"
+           ~doc:"Execution engine: interp (pre-decoded interpreter, the \
+                 reference) or aot (whole-kernel closure compilation at \
+                 instantiate time through the signed translation cache).")
 
 let tcache_dir =
   Arg.(value & opt (some string) None
@@ -194,10 +180,9 @@ let cmd =
     (Cmd.info "sva_run"
        ~doc:"Compile MiniC through the SVA safety pipeline and execute it")
     Term.(
-      const run $ file $ func $ args $ conf $ engine $ jit_threshold
-      $ tcache_dir $ ranges $ trace $ trace_out $ profile $ dump_ir
-      $ emit_bytecode)
+      const run $ file $ func $ args $ conf $ engine $ tcache_dir $ ranges
+      $ trace $ trace_out $ profile $ dump_ir $ emit_bytecode)
 
-(* Unknown or malformed flags print usage and exit 2, like the other
-   SVA binaries. *)
+(* Unknown flags print usage and exit 2, like the other SVA binaries; a
+   malformed flag value is cmdliner's usage error (exit 124). *)
 let () = exit (Cmd.eval ~term_err:2 cmd)

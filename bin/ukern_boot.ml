@@ -1,8 +1,8 @@
 (* ukern-boot: boot the MiniC kernel on the SVM and run a smoke workload.
 
-     ukern_boot [native|gcc|llvm|safe] [--engine=interp|tiered|aot]
-                [--jit-threshold=N] [--tcache-dir=DIR] [--cpus=N]
-                [--smp-seed=S] [--ranges] [--races] [--poolcert]
+     ukern_boot [native|gcc|llvm|safe] [--engine=interp|aot]
+                [--tcache-dir=DIR] [--cpus=N] [--smp-seed=S]
+                [--ranges] [--races] [--poolcert]
                 [--trace[=N]] [--trace-out=FILE] [--profile]
                 (default: safe, interp, 1 cpu)
 
@@ -20,10 +20,9 @@ module Boot = Ukern.Boot
 module Pipeline = Sva_pipeline.Pipeline
 
 let usage = "usage: ukern_boot [native|gcc|llvm|safe] \
-             [--engine=interp|tiered|aot] [--jit-threshold=N] \
-             [--tcache-dir=DIR] [--cpus=N] [--smp-seed=S] [--ranges] \
-             [--races] [--poolcert] [--trace[=N]] [--trace-out=FILE] \
-             [--profile]"
+             [--engine=interp|aot] [--tcache-dir=DIR] [--cpus=N] \
+             [--smp-seed=S] [--ranges] [--races] [--poolcert] \
+             [--trace[=N]] [--trace-out=FILE] [--profile]"
 
 let conf_of_string = function
   | "native" -> Some Pipeline.Native

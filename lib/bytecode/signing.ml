@@ -60,8 +60,8 @@ let tamper_native e =
 
 (* ---------- per-function translation-cache entries ----------
 
-   The tiered execution engine caches translations of single hot
-   functions, keyed by the SHA-256 of the function's bytecode.  Each
+   The compiled execution engine caches the translation of each
+   function, keyed by the SHA-256 of the function's bytecode.  Each
    entry is signed exactly like a module entry: the SVM re-verifies the
    signature before reusing a cached translation, and a tampered entry is
    discarded in favour of a fresh (re-verified, re-signed) translation. *)

@@ -1075,41 +1075,39 @@ let smp ?(quick = false) ?(strict = false) () =
       if strict then failwith ("smp check FAILED: " ^ msg)
       else table ^ "  smp check: FAIL - " ^ msg ^ "\n"
 
-(* ---------- tiered execution engine ---------- *)
+(* ---------- AOT engine + persistent translation store ---------- *)
 
-(* The Table 7 syscall mix under SVA-Safe on both execution tiers.  The
-   modeled cycle counts and check statistics must be bit-identical — the
-   tiered engine is semantically invisible — so the only differing
-   columns are host wall-clock time and the tier counters. *)
+(* Whole-kernel closure compilation at instantiate time against a
+   persistent signed store: boot the AOT kernel twice through the same
+   --tcache-dir, first cold (every translation is fresh and persisted)
+   then warm with the in-memory cache cleared, simulating a second
+   process (every translation is a verified disk hit, zero
+   re-translations).  The warm VM then runs the Table 7 mix; the modeled
+   numbers must match the interpreter's bit-for-bit and the hot-path
+   wall clock must clear the warm-cache speedup floor. *)
 
-type tiered_data = {
-  td_cycles_interp : float;  (** model cycles per rep *)
-  td_cycles_tiered : float;
-  td_steps_interp : float;
-  td_steps_tiered : float;
-  td_checks_interp : int;  (** run-time checks per rep *)
-  td_checks_tiered : int;
-  td_ns_interp : float;  (** host wall-clock ns per rep (median batch) *)
-  td_ns_tiered : float;
-  td_speedup : float;  (** host speedup, interp / tiered *)
-  td_promotions : int;
-  td_tcache_hits : int;
-  td_tcache_misses : int;
-  td_sig_verifications : int;
-  td_disk_hits : int;
-  td_disk_stale : int;
-  td_disk_writes : int;
+type aot_data = {
+  ad_cycles_interp : float;  (** model cycles per rep *)
+  ad_steps_interp : float;
+  ad_checks_interp : int;  (** run-time checks per rep *)
+  ad_ns_interp : float;  (** host wall-clock ns per rep (median batch) *)
+  ad_cycles_aot : float;
+  ad_steps_aot : float;
+  ad_checks_aot : int;
+  ad_ns_aot : float;
+  ad_speedup : float;  (** host speedup over the interpreter *)
+  ad_boot_cold_ns : float;  (** instantiate + compile_all, empty store *)
+  ad_boot_warm_ns : float;  (** same, against the populated store *)
+  ad_promotions : int;  (** functions AOT-compiled per boot *)
+  ad_disk_writes_cold : int;
+  ad_disk_hits_warm : int;
+  ad_disk_stale_warm : int;
+  ad_misses_warm : int;  (** re-translations in the warm boot (want 0) *)
 }
 
-(* Promote early in the bench so the warm-up pass already compiles the
-   hot functions; measurement then runs fully on the second tier. *)
-let tiered_bench_engine =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = 2 }
-
-let tiered_measure ~reps ~engine =
-  let t =
-    Boot.boot_built ?engine (image Pipeline.Sva_safe) ~variant:Kbuild.as_tested
-  in
+(* The Table 7 mix on a booted SVA-Safe kernel: per-rep modeled cycles,
+   steps and checks, then the host wall clock per rep (median batch). *)
+let measure_mix ~reps t =
   let ctx = Workloads.prepare t in
   for _ = 1 to 3 do
     ablation_workload ctx
@@ -1130,143 +1128,6 @@ let tiered_measure ~reps ~engine =
   in
   (cycles, steps, checks, wall.Timing.s_per_op_ns)
 
-let td_cache : (bool, tiered_data) Hashtbl.t = Hashtbl.create 2
-
-let tiered_data ?(quick = false) () =
-  match Hashtbl.find_opt td_cache quick with
-  | Some d -> d
-  | None ->
-      let reps = if quick then 10 else 40 in
-      let icyc, istep, ichk, ins = tiered_measure ~reps ~engine:None in
-      Sva_interp.Closcomp.clear_cache ();
-      Sva_rt.Stats.reset_tier ();
-      let tcyc, tstep, tchk, tns =
-        tiered_measure ~reps ~engine:(Some tiered_bench_engine)
-      in
-      let tier = Sva_rt.Stats.read_tier () in
-      let d =
-        {
-          td_cycles_interp = icyc;
-          td_cycles_tiered = tcyc;
-          td_steps_interp = istep;
-          td_steps_tiered = tstep;
-          td_checks_interp = ichk;
-          td_checks_tiered = tchk;
-          td_ns_interp = ins;
-          td_ns_tiered = tns;
-          td_speedup = (if tns > 0.0 then ins /. tns else infinity);
-          td_promotions = tier.Sva_rt.Stats.promotions;
-          td_tcache_hits = tier.Sva_rt.Stats.tcache_hits;
-          td_tcache_misses = tier.Sva_rt.Stats.tcache_misses;
-          td_sig_verifications = tier.Sva_rt.Stats.sig_verifications;
-          td_disk_hits = tier.Sva_rt.Stats.tcache_disk_hits;
-          td_disk_stale = tier.Sva_rt.Stats.tcache_disk_stale;
-          td_disk_writes = tier.Sva_rt.Stats.tcache_disk_writes;
-        }
-      in
-      Hashtbl.replace td_cache quick d;
-      d
-
-(* The wall-clock gate must hold on loaded CI machines; the measured
-   speedup on the syscall mix is well above this floor. *)
-let tiered_speedup_floor = 1.3
-
-let tiered ?(quick = false) ?(strict = false) () =
-  let d = tiered_data ~quick () in
-  let row name cyc steps checks ns =
-    [
-      name;
-      Printf.sprintf "%.0fcy" cyc;
-      Printf.sprintf "%.0f" steps;
-      string_of_int checks;
-      Printf.sprintf "%.0fns" ns;
-    ]
-  in
-  let table =
-    T.render
-      ~title:
-        "Tiered engine: closure-compiled hot functions on the Table 7 \
-         syscall mix (SVA-Safe)"
-      ~note:
-        (Printf.sprintf
-           "Workload: open/close + write + pipe round-trip + getpid per rep. \
-            The tiered engine promotes functions after %d calls, compiles \
-            them to fused closure chains, and records each translation in \
-            the signed cache (Section 3.4: %d promotions, %d/%d cache \
-            hits, %d signature verifications).  Modeled cycles, steps and \
-            checks are identical by construction; host speedup %.1fx \
-            (>= %.1fx required)."
-           tiered_bench_engine.Pipeline.eng_threshold d.td_promotions
-           d.td_tcache_hits
-           (d.td_tcache_hits + d.td_tcache_misses)
-           d.td_sig_verifications d.td_speedup tiered_speedup_floor)
-      [ T.L; T.R; T.R; T.R; T.R ]
-      [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
-      [
-        row "interpreter" d.td_cycles_interp d.td_steps_interp
-          d.td_checks_interp d.td_ns_interp;
-        row "tiered" d.td_cycles_tiered d.td_steps_tiered d.td_checks_tiered
-          d.td_ns_tiered;
-      ]
-  in
-  let failures =
-    List.concat
-      [
-        (if d.td_cycles_tiered = d.td_cycles_interp then []
-         else
-           [ Printf.sprintf
-               "tiered engine changed modeled cycles (%.0f vs %.0f)"
-               d.td_cycles_tiered d.td_cycles_interp ]);
-        (if d.td_steps_tiered = d.td_steps_interp then []
-         else
-           [ Printf.sprintf "tiered engine changed step counts (%.0f vs %.0f)"
-               d.td_steps_tiered d.td_steps_interp ]);
-        (if d.td_checks_tiered = d.td_checks_interp then []
-         else
-           [ Printf.sprintf
-               "tiered engine changed the number of checks (%d vs %d)"
-               d.td_checks_tiered d.td_checks_interp ]);
-        (if d.td_promotions > 0 then []
-         else [ "tiered engine promoted no functions" ]);
-        (if d.td_speedup >= tiered_speedup_floor then []
-         else
-           [ Printf.sprintf "host speedup %.2fx is below the required %.1fx"
-               d.td_speedup tiered_speedup_floor ]);
-      ]
-  in
-  match failures with
-  | [] -> table ^ "  tiered check: PASS\n"
-  | fs ->
-      let msg = String.concat "; " fs in
-      if strict then failwith ("tiered check FAILED: " ^ msg)
-      else table ^ "  tiered check: FAIL - " ^ msg ^ "\n"
-
-(* ---------- AOT engine + persistent translation store ---------- *)
-
-(* Whole-kernel closure compilation at instantiate time against a
-   persistent signed store: boot the AOT kernel twice through the same
-   --tcache-dir, first cold (every translation is fresh and persisted)
-   then warm with the in-memory cache cleared, simulating a second
-   process (every translation is a verified disk hit, zero
-   re-translations).  The warm VM then runs the Table 7 mix; the modeled
-   numbers must match the interpreter's bit-for-bit and the hot-path
-   wall clock must clear the warm-cache speedup floor. *)
-
-type aot_data = {
-  ad_cycles_aot : float;
-  ad_steps_aot : float;
-  ad_checks_aot : int;
-  ad_ns_aot : float;
-  ad_speedup : float;  (** host speedup over the interpreter *)
-  ad_boot_cold_ns : float;  (** instantiate + compile_all, empty store *)
-  ad_boot_warm_ns : float;  (** same, against the populated store *)
-  ad_promotions : int;  (** functions AOT-compiled per boot *)
-  ad_disk_writes_cold : int;
-  ad_disk_hits_warm : int;
-  ad_disk_stale_warm : int;
-  ad_misses_warm : int;  (** re-translations in the warm boot (want 0) *)
-}
-
 let ad_cache : (bool, aot_data) Hashtbl.t = Hashtbl.create 2
 
 let aot_data ?(quick = false) () =
@@ -1274,16 +1135,16 @@ let aot_data ?(quick = false) () =
   | Some d -> d
   | None ->
       let reps = if quick then 10 else 40 in
-      (* Measure the baseline first: computing it lazily below would boot
-         interpreter/tiered kernels while the persistent store is still
-         globally active. *)
-      let td = tiered_data ~quick () in
+      (* Measure the interpreter baseline before the persistent store
+         below becomes globally active. *)
+      let icyc, istep, ichk, ins =
+        measure_mix ~reps
+          (Boot.boot_built (image Pipeline.Sva_safe) ~variant:Kbuild.as_tested)
+      in
       let dir = Filename.temp_dir "sva-tcache" "" in
       let engine =
         Some
-          { Pipeline.default_engine with
-            Pipeline.eng_kind = Pipeline.Aot;
-            eng_tcache_dir = Some dir }
+          { Pipeline.aot_engine with Pipeline.eng_tcache_dir = Some dir }
       in
       let boot_once () =
         (* a cleared in-memory cache is what a fresh process starts with *)
@@ -1306,31 +1167,17 @@ let aot_data ?(quick = false) () =
           (fun () ->
             let _, cold_ns, cold = boot_once () in
             let t, warm_ns, warm = boot_once () in
-            let ctx = Workloads.prepare t in
-            for _ = 1 to 3 do
-              ablation_workload ctx
-            done;
-            Boot.reset_cycles t;
-            Boot.reset_steps t;
-            Sva_rt.Stats.reset ();
-            for _ = 1 to reps do
-              ablation_workload ctx
-            done;
-            let s = Sva_rt.Stats.read () in
-            let cycles = float_of_int (Boot.cycles t) /. float_of_int reps in
-            let steps = float_of_int (Boot.steps t) /. float_of_int reps in
-            let checks = Sva_rt.Stats.total_checks s / reps in
-            let wall =
-              Timing.measure ~batches:5 ~reps:(max 5 reps) (fun () ->
-                  ablation_workload ctx)
-            in
-            let ns = wall.Timing.s_per_op_ns in
+            let cycles, steps, checks, ns = measure_mix ~reps t in
             {
+              ad_cycles_interp = icyc;
+              ad_steps_interp = istep;
+              ad_checks_interp = ichk;
+              ad_ns_interp = ins;
               ad_cycles_aot = cycles;
               ad_steps_aot = steps;
               ad_checks_aot = checks;
               ad_ns_aot = ns;
-              ad_speedup = (if ns > 0.0 then td.td_ns_interp /. ns else infinity);
+              ad_speedup = (if ns > 0.0 then ins /. ns else infinity);
               ad_boot_cold_ns = cold_ns;
               ad_boot_warm_ns = warm_ns;
               ad_promotions = warm.Sva_rt.Stats.promotions;
@@ -1350,7 +1197,6 @@ let aot_speedup_floor = 2.0
 
 let aot ?(quick = false) ?(strict = false) () =
   let d = aot_data ~quick () in
-  let td = tiered_data ~quick () in
   let row name cyc steps checks ns =
     [
       name;
@@ -1381,10 +1227,8 @@ let aot ?(quick = false) ?(strict = false) () =
       [ T.L; T.R; T.R; T.R; T.R ]
       [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
       [
-        row "interpreter" td.td_cycles_interp td.td_steps_interp
-          td.td_checks_interp td.td_ns_interp;
-        row "tiered (warm)" td.td_cycles_tiered td.td_steps_tiered
-          td.td_checks_tiered td.td_ns_tiered;
+        row "interpreter" d.ad_cycles_interp d.ad_steps_interp
+          d.ad_checks_interp d.ad_ns_interp;
         row "aot (warm disk)" d.ad_cycles_aot d.ad_steps_aot d.ad_checks_aot
           d.ad_ns_aot;
       ]
@@ -1392,18 +1236,18 @@ let aot ?(quick = false) ?(strict = false) () =
   let failures =
     List.concat
       [
-        (if d.ad_cycles_aot = td.td_cycles_interp then []
+        (if d.ad_cycles_aot = d.ad_cycles_interp then []
          else
            [ Printf.sprintf "aot engine changed modeled cycles (%.0f vs %.0f)"
-               d.ad_cycles_aot td.td_cycles_interp ]);
-        (if d.ad_steps_aot = td.td_steps_interp then []
+               d.ad_cycles_aot d.ad_cycles_interp ]);
+        (if d.ad_steps_aot = d.ad_steps_interp then []
          else
            [ Printf.sprintf "aot engine changed step counts (%.0f vs %.0f)"
-               d.ad_steps_aot td.td_steps_interp ]);
-        (if d.ad_checks_aot = td.td_checks_interp then []
+               d.ad_steps_aot d.ad_steps_interp ]);
+        (if d.ad_checks_aot = d.ad_checks_interp then []
          else
            [ Printf.sprintf "aot engine changed the number of checks (%d vs %d)"
-               d.ad_checks_aot td.td_checks_interp ]);
+               d.ad_checks_aot d.ad_checks_interp ]);
         (if d.ad_promotions > 0 then []
          else [ "aot engine compiled no functions" ]);
         (if d.ad_disk_writes_cold > 0 then []
@@ -2223,53 +2067,21 @@ let table7_json ?(quick = false) () =
            ])
        (table7_data ~quick ()))
 
-let tiered_json ?(quick = false) () =
-  let d = tiered_data ~quick () in
-  J.Obj
-    [
-      ("cycles-per-op",
-       J.Obj [ ("interp", J.Float d.td_cycles_interp);
-               ("tiered", J.Float d.td_cycles_tiered) ]);
-      ("steps-per-op",
-       J.Obj [ ("interp", J.Float d.td_steps_interp);
-               ("tiered", J.Float d.td_steps_tiered) ]);
-      ("checks-per-op",
-       J.Obj [ ("interp", J.Int d.td_checks_interp);
-               ("tiered", J.Int d.td_checks_tiered) ]);
-      ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float d.td_ns_interp);
-               ("tiered", J.Float d.td_ns_tiered) ]);
-      ("host-speedup", J.Float d.td_speedup);
-      ("promotions", J.Int d.td_promotions);
-      ("translation-cache",
-       J.Obj [ ("hits", J.Int d.td_tcache_hits);
-               ("misses", J.Int d.td_tcache_misses);
-               ("signature-verifications", J.Int d.td_sig_verifications);
-               ("disk-hits", J.Int d.td_disk_hits);
-               ("disk-stale", J.Int d.td_disk_stale);
-               ("disk-writes", J.Int d.td_disk_writes) ]);
-    ]
-
 let aot_json ?(quick = false) () =
   let d = aot_data ~quick () in
-  let td = tiered_data ~quick () in
   J.Obj
     [
       ("cycles-per-op",
-       J.Obj [ ("interp", J.Float td.td_cycles_interp);
-               ("tiered", J.Float td.td_cycles_tiered);
+       J.Obj [ ("interp", J.Float d.ad_cycles_interp);
                ("aot", J.Float d.ad_cycles_aot) ]);
       ("steps-per-op",
-       J.Obj [ ("interp", J.Float td.td_steps_interp);
-               ("tiered", J.Float td.td_steps_tiered);
+       J.Obj [ ("interp", J.Float d.ad_steps_interp);
                ("aot", J.Float d.ad_steps_aot) ]);
       ("checks-per-op",
-       J.Obj [ ("interp", J.Int td.td_checks_interp);
-               ("tiered", J.Int td.td_checks_tiered);
+       J.Obj [ ("interp", J.Int d.ad_checks_interp);
                ("aot", J.Int d.ad_checks_aot) ]);
       ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float td.td_ns_interp);
-               ("tiered", J.Float td.td_ns_tiered);
+       J.Obj [ ("interp", J.Float d.ad_ns_interp);
                ("aot", J.Float d.ad_ns_aot) ]);
       ("host-speedup", J.Float d.ad_speedup);
       ("boot-ns",

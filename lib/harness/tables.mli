@@ -67,16 +67,6 @@ val smp : ?quick:bool -> ?strict:bool -> unit -> string
     failed criterion raises instead of being reported in the output (the
     [@bench-smoke] regression gate). *)
 
-val tiered : ?quick:bool -> ?strict:bool -> unit -> string
-(** The tiered-engine experiment: the Table 7 syscall mix under SVA-Safe
-    on the pre-decoded interpreter and on the tiered engine
-    (closure-compiled hot functions, signed translation cache,
-    Section 3.4).  Verifies the second tier is semantically invisible —
-    modeled cycles, steps and check counts bit-identical — that it
-    actually promoted functions, and that it beats the interpreter on
-    host wall-clock; with [strict] a failed criterion raises instead of
-    being reported in the output (the [@bench-smoke] regression gate). *)
-
 val trace : ?quick:bool -> ?strict:bool -> unit -> string
 (** The observability experiment: the Table 7 syscall mix under SVA-Safe
     with the event trace + cycle-attribution profiler off, then on.
@@ -139,28 +129,11 @@ type smp_data = {
 
 val smp_data : ?quick:bool -> unit -> smp_data
 
-type tiered_data = {
-  td_cycles_interp : float;
-  td_cycles_tiered : float;
-  td_steps_interp : float;
-  td_steps_tiered : float;
-  td_checks_interp : int;
-  td_checks_tiered : int;
-  td_ns_interp : float;
-  td_ns_tiered : float;
-  td_speedup : float;
-  td_promotions : int;
-  td_tcache_hits : int;
-  td_tcache_misses : int;
-  td_sig_verifications : int;
-  td_disk_hits : int;
-  td_disk_stale : int;
-  td_disk_writes : int;
-}
-
-val tiered_data : ?quick:bool -> unit -> tiered_data
-
 type aot_data = {
+  ad_cycles_interp : float;
+  ad_steps_interp : float;
+  ad_checks_interp : int;
+  ad_ns_interp : float;
   ad_cycles_aot : float;
   ad_steps_aot : float;
   ad_checks_aot : int;
@@ -176,14 +149,15 @@ type aot_data = {
 }
 
 val aot_data : ?quick:bool -> unit -> aot_data
-(** Boot the AOT kernel twice through one persistent translation store
+(** Measure the Table 7 mix on an interpreter kernel, then boot the AOT
+    kernel twice through one persistent translation store
     (cold then warm, with the in-memory cache cleared between boots to
     simulate a second process), then measure the Table 7 mix on the warm
     VM.  Cached per [quick]. *)
 
 val aot : ?quick:bool -> ?strict:bool -> unit -> string
-(** The AOT-engine section: interpreter vs tiered vs whole-kernel AOT
-    against a warm persistent cache.  Modeled cycle/step/check identity
+(** The AOT-engine section: interpreter vs whole-kernel AOT against a
+    warm persistent cache.  Modeled cycle/step/check identity
     with the interpreter and warm-boot disk-cache behavior (>= 1 disk
     hit, zero re-translations) are hard gates; the warm-cache host
     speedup floor is enforced only under [strict]. *)
@@ -321,7 +295,6 @@ val poolcert_table : ?strict:bool -> unit -> string
 
 val fastpath_json : ?quick:bool -> unit -> Jsonout.t
 val smp_json : ?quick:bool -> unit -> Jsonout.t
-val tiered_json : ?quick:bool -> unit -> Jsonout.t
 val aot_json : ?quick:bool -> unit -> Jsonout.t
 val trace_json : ?quick:bool -> unit -> Jsonout.t
 val table7_json : ?quick:bool -> unit -> Jsonout.t

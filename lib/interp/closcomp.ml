@@ -831,8 +831,6 @@ let enable ?(threshold = 16) (t : I.t) =
   I.set_jit t
     (Some { I.jit_threshold = max 1 threshold; I.jit_translate = translate })
 
-let disable (t : I.t) = I.set_jit t None
-
 (* Whole-kernel ahead-of-time mode: translate every loaded function at
    instantiate time (deterministic name order), so the first call of
    every function already runs compiled and a populated persistent store

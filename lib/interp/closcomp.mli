@@ -1,8 +1,9 @@
-(** The SVM's second execution tier: a closure compiler with a signed
-    translation cache (Section 3.4).
+(** The SVM's compiled execution engine: a closure compiler with a
+    signed translation cache (Section 3.4).
 
-    Hot functions (profiled by {!Interp.enter} against the installed
-    threshold) are compiled into trees of OCaml closures — per-block
+    Functions — all of them at once under {!compile_all}, otherwise once
+    {!Interp.enter} has counted the installed threshold of calls — are
+    compiled into trees of OCaml closures — per-block
     fused chains with specialized operand fetches, resolved branch
     targets, and superinstruction fusion for compare+branch,
     gep+load/store and check+access pairs.  Each translation is recorded
@@ -10,7 +11,7 @@
     bytecode; reuse re-verifies the signature and a tampered entry falls
     back to re-translation from re-verified bytecode.
 
-    The tier is semantically invisible: results, traps, check statistics
+    The engine is semantically invisible: results, traps, check statistics
     and the modeled cycle counts are bit-identical to the interpreter's.
     Only host wall-clock time improves. *)
 
@@ -20,8 +21,6 @@ val enable : ?threshold:int -> Interp.t -> unit
 (** Install the tier on a VM: functions entered at least [threshold]
     times (default 16, clamped to at least 1) are translated and run
     compiled from then on. *)
-
-val disable : Interp.t -> unit
 
 val compile_all : Interp.t -> unit
 (** Whole-kernel AOT: translate every loaded function now (in

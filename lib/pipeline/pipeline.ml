@@ -14,49 +14,36 @@ let all_confs = [ Native; Sva_gcc; Sva_llvm; Sva_safe ]
 
 (* ---------- execution engine selection ---------- *)
 
-type engine = Interp | Tiered | Aot
+type engine = Interp | Aot
 
 type engine_config = {
   eng_kind : engine;
-  eng_threshold : int;
   eng_tcache_dir : string option;
 }
 
-let default_jit_threshold = 16
-
-let default_engine =
-  { eng_kind = Interp; eng_threshold = default_jit_threshold;
-    eng_tcache_dir = None }
-
-let tiered_engine = { default_engine with eng_kind = Tiered }
+let default_engine = { eng_kind = Interp; eng_tcache_dir = None }
 let aot_engine = { default_engine with eng_kind = Aot }
 
 let engine_name = function
   | Interp -> "interp"
-  | Tiered -> "tiered"
   | Aot -> "aot"
+
+let all_engines = [ Interp; Aot ]
 
 let engine_of_string = function
   | "interp" -> Some Interp
-  | "tiered" -> Some Tiered
   | "aot" -> Some Aot
   | _ -> None
 
 (* Shared argv-style flag parsing, so every binary accepts the same
-   --engine=interp|tiered|aot, --jit-threshold=N and --tcache-dir=DIR
-   spellings. *)
+   --engine=interp|aot and --tcache-dir=DIR spellings. *)
 let engine_flag cfg arg =
   match String.index_opt arg '=' with
   | Some i when String.sub arg 0 i = "--engine" -> (
       let v = String.sub arg (i + 1) (String.length arg - i - 1) in
       match engine_of_string v with
       | Some k -> Some { cfg with eng_kind = k }
-      | None -> invalid_arg ("unknown engine '" ^ v ^ "' (interp|tiered|aot)"))
-  | Some i when String.sub arg 0 i = "--jit-threshold" -> (
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Some { cfg with eng_threshold = n }
-      | _ -> invalid_arg ("bad --jit-threshold '" ^ v ^ "' (positive integer)"))
+      | None -> invalid_arg ("unknown engine '" ^ v ^ "' (interp|aot)"))
   | Some i when String.sub arg 0 i = "--tcache-dir" ->
       let v = String.sub arg (i + 1) (String.length arg - i - 1) in
       if v = "" then invalid_arg "bad --tcache-dir: empty path"
@@ -428,14 +415,13 @@ let instantiate ?sys ?(engine = default_engine) ?(smp = default_smp) built =
   (match engine.eng_tcache_dir with
   | Some _ as d -> Sva_interp.Tcache_disk.set_dir d
   | None -> ());
-  (* Second execution tier, if selected: installed before any code runs
-     so even the boot-time registration pass is profiled.  AOT closure-
-     compiles the whole kernel right now (threshold 1 catches stragglers
-     linked later) — against a populated persistent store this is pure
-     verified reuse, so a second process boots hot. *)
+  (* Compiled engine, if selected: installed before any code runs.  AOT
+     closure-compiles the whole kernel right now (threshold 1 compiles
+     functions linked later on their first call) — against a populated
+     persistent store this is pure verified reuse, so a second process
+     boots hot. *)
   (match engine.eng_kind with
   | Interp -> ()
-  | Tiered -> Sva_interp.Closcomp.enable ~threshold:engine.eng_threshold t
   | Aot ->
       Sva_interp.Closcomp.enable ~threshold:1 t;
       Sva_interp.Closcomp.compile_all t);

@@ -24,43 +24,37 @@ val all_confs : conf list
 
 (** {1 Execution engine selection}
 
-    The SVM runs bytecode on one of three engines (Section 3.4): the
-    pre-decoded interpreter; the tiered engine that promotes hot
-    functions to closure-compiled code cached in a signed translation
-    cache ({!Sva_interp.Closcomp}); or whole-kernel AOT, which
-    closure-compiles every function at instantiate time through the
-    same cache, so a populated persistent store
+    The SVM runs bytecode on one of two engines (Section 3.4): the
+    pre-decoded interpreter, which is the reference oracle; or
+    whole-kernel AOT, which closure-compiles every function at
+    instantiate time through the signed translation cache
+    ({!Sva_interp.Closcomp}), so a populated persistent store
     ({!Sva_interp.Tcache_disk}) lets a second process boot hot with
     zero re-translations.  The engines are semantically identical —
     same results, traps, check statistics and modeled cycles; only
     host wall-clock time differs. *)
 
-type engine = Interp | Tiered | Aot
+type engine = Interp | Aot
 
 type engine_config = {
   eng_kind : engine;
-  eng_threshold : int;  (** calls before a function is promoted *)
   eng_tcache_dir : string option;
       (** persistent signed translation store directory; [None] keeps
           the cache in-memory only *)
 }
 
-val default_jit_threshold : int
 val default_engine : engine_config  (** [Interp] *)
-
-val tiered_engine : engine_config
-(** [Tiered] at {!default_jit_threshold}. *)
 
 val aot_engine : engine_config
 (** [Aot]: whole-kernel compile at instantiate, no warmup. *)
 
 val engine_name : engine -> string
+val all_engines : engine list
 val engine_of_string : string -> engine option
 
 val engine_flag : engine_config -> string -> engine_config option
-(** Parse one [--engine=interp|tiered|aot], [--jit-threshold=N] or
-    [--tcache-dir=DIR] argument into an updated config; [None] if the
-    argument is none of these flags.
+(** Parse one [--engine=interp|aot] or [--tcache-dir=DIR] argument into
+    an updated config; [None] if the argument is neither flag.
     @raise Invalid_argument on a malformed value.  Shared by the CLI
     binaries so the flags are spelled identically everywhere. *)
 
@@ -252,8 +246,8 @@ val instantiate :
     run-time metapools are created — their lookup-cache shards threaded
     onto the instance's CPU context — and userspace is pre-registered in
     pools reachable from syscall arguments.  [engine] (default
-    {!default_engine}) selects the execution tier; [Tiered] installs the
-    closure compiler before any code — including the global-registration
-    boot pass — runs.  [smp] (default {!default_smp}) sizes the modeled
+    {!default_engine}) selects the engine; [Aot] installs the closure
+    compiler and translates every function before any code — including
+    the global-registration boot pass — runs.  [smp] (default {!default_smp}) sizes the modeled
     CPU array when the instance is created here; it does not re-size a
     caller-supplied [sys]. *)

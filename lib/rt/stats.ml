@@ -173,7 +173,7 @@ let to_string s =
 
 (* ---------- execution-tier counters ----------
 
-   Kept out of [snapshot] deliberately: the tiered engine must leave every
+   Kept out of [snapshot] deliberately: the compiled engine must leave every
    check statistic identical to the interpreter's, and the differential
    tests compare [read ()] across engines while promotion counts differ
    by design. *)
@@ -332,8 +332,8 @@ let conc_to_string s =
 
 (* Full reset across all three counter families.  The individual resets
    stay available for the measurements that deliberately reset one family
-   (e.g. the tiered bench resets check counters per run but accumulates
-   tier counters across warm-up and measurement). *)
+   (e.g. the aot bench resets check counters per run but accumulates
+   tier counters across boot, warm-up and measurement). *)
 let reset_all () =
   reset ();
   reset_tier ();

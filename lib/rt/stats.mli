@@ -91,9 +91,9 @@ val to_string : snapshot -> string
 
 (** {1 Execution-tier counters}
 
-    Accounting for the SVM's second execution tier (closure-compiled hot
+    Accounting for the SVM's compiled execution engine (closure-compiled
     functions with a signed translation cache, Section 3.4).  Kept in a
-    separate snapshot: the tiered engine leaves every field of
+    separate snapshot: the compiled engine leaves every field of
     {!snapshot} identical to the interpreter's — the differential tests
     rely on that — while these counters differ by design. *)
 

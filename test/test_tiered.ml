@@ -1,9 +1,11 @@
-(* The tiered execution engine (closure-compiled hot functions with a
+(* The compiled execution engine (closure-compiled functions with a
    signed translation cache) must be semantically invisible: identical
    results, traps, exploit verdicts, check statistics and modeled cycle
-   counts as the pre-decoded interpreter.  Plus the Section 3.4 cache
-   integrity story: entries are signed, reuse verifies the signature, and
-   a tampered entry falls back to re-translation. *)
+   counts as the pre-decoded interpreter, both for whole-kernel AOT and
+   for mixed mode, where a function runs interpreted before it is
+   compiled.  Plus the Section 3.4 cache integrity story: entries are
+   signed, reuse verifies the signature, and a tampered entry falls back
+   to re-translation. *)
 
 module Pipeline = Sva_pipeline.Pipeline
 module Interp = Sva_interp.Interp
@@ -12,12 +14,6 @@ module Tcache_disk = Sva_interp.Tcache_disk
 module Signing = Sva_bytecode.Signing
 module Stats = Sva_rt.Stats
 module Boot = Ukern.Boot
-
-let tiered_engine ?(threshold = 1) () =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = threshold }
-
-let aot_engine ?dir () =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Aot; eng_tcache_dir = dir }
 
 (* ---------- differential property: random programs ---------- *)
 
@@ -58,7 +54,7 @@ let prop_engines_agree =
   let gen =
     QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
   in
-  QCheck2.Test.make ~name:"tiered and aot engines agree with the interpreter"
+  QCheck2.Test.make ~name:"aot agrees with the interpreter"
     ~count:30 gen (fun (seed, a, b) ->
       let src = gen_program seed in
       let built =
@@ -67,10 +63,8 @@ let prop_engines_agree =
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let ri = run_built built None args in
       Closcomp.clear_cache ();
-      let rt = run_built built (Some (tiered_engine ())) args in
-      Closcomp.clear_cache ();
-      let ra = run_built built (Some (aot_engine ())) args in
-      ri = rt && ri = ra)
+      let ra = run_built built (Some Pipeline.aot_engine) args in
+      ri = ra)
 
 (* Same property with the certified range elision on: the elided-check
    module must behave identically on both engines too. *)
@@ -96,7 +90,7 @@ let prop_engines_agree_with_ranges =
     QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
   in
   QCheck2.Test.make
-    ~name:"tiered engine agrees with the interpreter under range elision"
+    ~name:"aot agrees under range elision"
     ~count:15 gen
     (fun (seed, a, b) ->
       let src = gen_range_program seed in
@@ -107,8 +101,8 @@ let prop_engines_agree_with_ranges =
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let ri = run_built built None args in
       Closcomp.clear_cache ();
-      let rt = run_built built (Some (tiered_engine ())) args in
-      ri = rt)
+      let ra = run_built built (Some Pipeline.aot_engine) args in
+      ri = ra)
 
 (* ---------- the five exploits agree on both engines ---------- *)
 
@@ -134,10 +128,10 @@ let test_exploit_verdicts_agree () =
       in
       let vi = verdict None in
       Closcomp.clear_cache ();
-      let vt = verdict (Some (tiered_engine ())) in
+      let va = verdict (Some Pipeline.aot_engine) in
       Alcotest.(check string)
         (Printf.sprintf "verdict for %s" (Exploits.name ex))
-        vi vt)
+        vi va)
     Exploits.all
 
 (* ---------- syscall mix: cycles, steps and stats bit-identical ---------- *)
@@ -152,8 +146,7 @@ let syscall_mix t =
   ignore (Boot.syscall t 6 [ fd; Boot.user_addr t 2048; 64L ]);
   ignore (Boot.syscall t 9 [])
 
-let measure_mix engine =
-  let t = kernel ?engine Pipeline.Sva_safe in
+let measure_mix t =
   Stats.reset ();
   Boot.reset_cycles t;
   Boot.reset_steps t;
@@ -162,11 +155,16 @@ let measure_mix engine =
   done;
   (Boot.cycles t, Boot.steps t, Stats.to_string (Stats.read ()))
 
+(* Mixed mode: the kernel boots interpreted, then the compiler is
+   installed at threshold 2, so functions run interpreted first and
+   compiled on a later call. *)
 let test_syscall_mix_identical () =
-  let ci, si, ki = measure_mix None in
+  let ci, si, ki = measure_mix (kernel Pipeline.Sva_safe) in
   Closcomp.clear_cache ();
   Stats.reset_tier ();
-  let ct, st, kt = measure_mix (Some (tiered_engine ~threshold:2 ())) in
+  let t = kernel Pipeline.Sva_safe in
+  Closcomp.enable ~threshold:2 t.Boot.vm;
+  let ct, st, kt = measure_mix t in
   let tier = Stats.read_tier () in
   Alcotest.(check int) "modeled cycles" ci ct;
   Alcotest.(check int) "steps" si st;
@@ -177,10 +175,12 @@ let test_syscall_mix_identical () =
 (* Same gate for the whole-kernel AOT engine: compiling everything at
    instantiate time must not move a single modeled number. *)
 let test_syscall_mix_identical_aot () =
-  let ci, si, ki = measure_mix None in
+  let ci, si, ki = measure_mix (kernel Pipeline.Sva_safe) in
   Closcomp.clear_cache ();
   Stats.reset_tier ();
-  let ca, sa, ka = measure_mix (Some (aot_engine ())) in
+  let ca, sa, ka =
+    measure_mix (kernel ~engine:Pipeline.aot_engine Pipeline.Sva_safe)
+  in
   let tier = Stats.read_tier () in
   Alcotest.(check int) "modeled cycles" ci ca;
   Alcotest.(check int) "steps" si sa;
@@ -209,14 +209,14 @@ let test_cache_hit_across_instances () =
   let built = build_sum () in
   Closcomp.clear_cache ();
   Stats.reset_tier ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t1 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
   let r1 = Interp.call t1 "f" [ 5L; 7L ] in
   let after_first = Stats.read_tier () in
   Alcotest.(check bool) "first run populates the cache" true
     (after_first.Stats.tcache_misses > 0);
   Alcotest.(check bool) "cache holds entries" true (Closcomp.cache_size () > 0);
   (* a second VM instance reuses the signed translations *)
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
   let r2 = Interp.call t2 "f" [ 5L; 7L ] in
   let after_second = Stats.read_tier () in
   Alcotest.(check bool) "same result" true (r1 = r2);
@@ -231,8 +231,8 @@ let test_tampered_entry_falls_back () =
   let ti = Pipeline.instantiate built in
   let expected = Interp.call ti "f" [ 5L; 7L ] in
   Closcomp.clear_cache ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
-  Alcotest.(check bool) "clean tiered run" true
+  let t1 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
+  Alcotest.(check bool) "clean aot run" true
     (Interp.call t1 "f" [ 5L; 7L ] = expected);
   let key = key_of built "f" in
   Alcotest.(check bool) "entry for f is cached" true
@@ -240,7 +240,7 @@ let test_tampered_entry_falls_back () =
   Alcotest.(check bool) "tampering succeeds" true
     (Closcomp.tamper_cached key Signing.tamper_fentry_signature);
   Stats.reset_tier ();
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
   let r2 = Interp.call t2 "f" [ 5L; 7L ] in
   let tier = Stats.read_tier () in
   Alcotest.(check bool) "tampered entry detected (cache miss + resign)" true
@@ -257,13 +257,13 @@ let test_tampered_entry_falls_back () =
 let test_tampered_native_falls_back () =
   let built = build_sum () in
   Closcomp.clear_cache ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t1 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
   let expected = Interp.call t1 "f" [ 2L; 3L ] in
   let key = key_of built "f" in
   Alcotest.(check bool) "tampering succeeds" true
     (Closcomp.tamper_cached key Signing.tamper_fentry_native);
   Stats.reset_tier ();
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:Pipeline.aot_engine built in
   Alcotest.(check bool) "fallback reproduces the result" true
     (Interp.call t2 "f" [ 2L; 3L ] = expected);
   Alcotest.(check bool) "tamper counted as a miss" true
@@ -284,7 +284,7 @@ let with_store f =
     (fun () -> f dir)
 
 let disk_engine dir =
-  { (tiered_engine ()) with Pipeline.eng_tcache_dir = Some dir }
+  { Pipeline.aot_engine with Pipeline.eng_tcache_dir = Some dir }
 
 (* A fresh process has an empty in-memory cache but the same store: the
    second instantiation must reload every translation from disk,

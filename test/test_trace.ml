@@ -109,9 +109,6 @@ let gen_program seed =
      }"
     e1 e2 (mask land 31)
 
-let tiered_engine ?(threshold = 1) () =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = threshold }
-
 let run_built built engine args =
   Stats.reset ();
   let t = Pipeline.instantiate ?engine built in
@@ -140,9 +137,9 @@ let prop_tracing_invisible =
       in
       plain = traced)
 
-(* ---------- both tiers emit the same event stream ---------- *)
+(* ---------- both engines emit the same event stream ---------- *)
 
-(* Tier promotion and translation-cache probes are the tiered engine's
+(* Tier promotion and translation-cache probes are the compiled engine's
    own activity — the one deliberate divergence — so the comparison
    projects them out.  Sequence numbers are dropped for the same reason
    (tier events interleave); everything else, timestamps included, must
@@ -161,9 +158,9 @@ let event_stream () =
              e.Trace.ev_a, e.Trace.ev_b, e.Trace.ev_ts))
     (Trace.events ())
 
-let prop_tiers_emit_identically =
+let prop_engines_emit_identically =
   QCheck2.Test.make
-    ~name:"interp and tiered engines emit the same event stream" ~count:15
+    ~name:"interp and aot emit the same events" ~count:15
     arg_gen (fun (seed, a, b) ->
       let src = gen_program seed in
       let built = Pipeline.build ~conf:Pipeline.Sva_safe ~name:"rand" [ src ] in
@@ -173,7 +170,7 @@ let prop_tiers_emit_identically =
           let si = event_stream () in
           Trace.clear ();
           Closcomp.clear_cache ();
-          ignore (run_built built (Some (tiered_engine ())) args);
+          ignore (run_built built (Some Pipeline.aot_engine) args);
           si = event_stream ()))
 
 (* ---------- Chrome trace-event export ---------- *)
@@ -319,7 +316,7 @@ let () =
           Alcotest.test_case "disabled emission allocates nothing" `Quick
             test_disabled_zero_alloc;
           QCheck_alcotest.to_alcotest prop_tracing_invisible;
-          QCheck_alcotest.to_alcotest prop_tiers_emit_identically;
+          QCheck_alcotest.to_alcotest prop_engines_emit_identically;
         ] );
       ( "export",
         [
