@@ -1,13 +1,12 @@
-(* The SVM's second execution tier: a closure compiler.
+(* The SVM's compiled execution engine: a closure compiler.
 
    Section 3.4's SVM "can cache translations" of verified bytecode; this
-   module is that translator for the OCaml substrate.  A promoted
-   function is compiled once into a tree of OCaml closures — one fused
-   chain per basic block, with operand fetches specialized per value
-   constructor, branch targets resolved to block indices, and
-   superinstruction fusion for compare+branch, gep+load/store and
-   check+access pairs — so the hot path never pays the interpreter's
-   per-instruction constructor dispatch again.
+   module is that translator for the OCaml substrate.  A function is
+   compiled once into a tree of OCaml closures — one chain per basic
+   block, with operand fetches specialized per value constructor, static
+   gep offsets folded, branch targets resolved to block indices and
+   integer binops specialized — so the hot path never pays the
+   interpreter's per-instruction constructor dispatch again.
 
    Translations are keyed by the SHA-256 of the function's bytecode and
    recorded as signed cache entries ({!Sva_bytecode.Signing.fentry}).  A
@@ -16,20 +15,20 @@
    discarded and the function re-translated from re-verified bytecode,
    exactly the paper's cached-native-code story.
 
-   The tier must be semantically invisible.  Every compiled closure
-   reproduces the interpreter's bookkeeping bit-for-bit: steps, the
-   modeled cycle counts (including the splay-comparison and cache-hit
-   deltas charged around intrinsics), the step-limit check position, phi
-   simultaneity, stack-pointer save/restore, and all error messages.
-   The speedup is host wall-clock only. *)
+   The engine must be semantically invisible, so its bookkeeping is the
+   interpreter's own code: [I.run_block] drives each compiled block and
+   takes the per-step prologue (one step, one cycle, then the step-limit
+   check) before every op and terminator, [I.tick_phis] charges a block's
+   phis, [I.run_intr] charges intrinsics, and [I.call_direct] and
+   [I.call_indirect] resolve callees not known at translation time.  The
+   closures themselves charge nothing.  Phi simultaneity, stack-pointer
+   save/restore and the error messages of the specialized instructions
+   are reproduced here.  The speedup is host wall-clock only. *)
 
 open Sva_ir
 module I = Interp
 module Machine = Sva_hw.Machine
-module Svaos = Sva_os.Svaos
-module Metapool_rt = Sva_rt.Metapool_rt
 module Stats = Sva_rt.Stats
-module Splay = Sva_rt.Splay
 module Codec = Sva_bytecode.Codec
 module Signing = Sva_bytecode.Signing
 module Sha256 = Sva_bytecode.Sha256
@@ -45,16 +44,6 @@ type frame = {
 
 type cvalf = frame -> int64
 type cop = frame -> unit
-
-(* Per-step bookkeeping, identical to the interpreter's prologue for
-   every instruction and terminator: count, charge one cycle, then the
-   step-limit check. *)
-let[@inline] tick (t : I.t) =
-  t.I.nsteps <- t.I.nsteps + 1;
-  t.I.ncycles <- t.I.ncycles + 1;
-  match t.I.limit with
-  | Some l when t.I.nsteps > l -> I.vm_err "step limit exceeded"
-  | _ -> ()
 
 (* ---------- operand fetch specialization ---------- *)
 
@@ -122,7 +111,6 @@ let cbinop t fname (i : Instr.t) op x y : cop =
         | _ -> ( /. )
       in
       fun fr ->
-        tick t;
         let fx = Int64.float_of_bits (cx fr) in
         let fy = Int64.float_of_bits (cy fr) in
         fr.regs.(id) <- Int64.bits_of_float (fop fx fy)
@@ -138,32 +126,19 @@ let cbinop t fname (i : Instr.t) op x y : cop =
       in
       match op with
       | Instr.Add ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.add (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.add (cx fr) (cy fr))
       | Instr.Sub ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.sub (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.sub (cx fr) (cy fr))
       | Instr.Mul ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.mul (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.mul (cx fr) (cy fr))
       | Instr.And ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logand (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.logand (cx fr) (cy fr))
       | Instr.Or ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logor (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.logor (cx fr) (cy fr))
       | Instr.Xor ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logxor (cx fr) (cy fr))
+          fun fr -> fr.regs.(id) <- wrap (Int64.logxor (cx fr) (cy fr))
       | _ ->
           fun fr ->
-            tick t;
             let a = cx fr in
             let b = cy fr in
             (match Constfold.eval_binop op w a b with
@@ -181,7 +156,6 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
   let generic () =
     (* offset first, base second — the interpreter's order *)
     fun fr ->
-      tick t;
       let off = I.gep_offset t pointee fr.regs idxs in
       fr.regs.(id) <- Int64.add (cbase fr) off
   in
@@ -221,12 +195,9 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
   with
   | exception _ -> generic ()
   | k, [] ->
-      fun fr ->
-        tick t;
-        fr.regs.(id) <- Int64.add (cbase fr) k
+      fun fr -> fr.regs.(id) <- Int64.add (cbase fr) k
   | k, ts ->
       fun fr ->
-        tick t;
         let off =
           List.fold_left
             (fun acc (s, cv) -> Int64.add acc (Int64.mul (cv fr) s))
@@ -234,11 +205,13 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
         in
         fr.regs.(id) <- Int64.add (cbase fr) off
 
-(* Calls.  A compiled call site shares the interpreter's per-site callee
-   cache: a callee already resolved by interpreted runs is inlined, and
-   one resolved later is memoized for both tiers.  Callees always
-   re-enter through [I.enter], so compiled code can call interpreted
-   functions and trigger their promotion. *)
+(* Calls.  A callee already known at translation time (memoized in the
+   call site's cache, or defined in the loaded image) is bound into the
+   closure; any other direct callee, and every indirect one, resolves at
+   run time through the interpreter's own [I.call_direct] and
+   [I.call_indirect].  Callees always re-enter through [I.enter], so
+   compiled code can call interpreted functions and trigger their
+   compilation. *)
 let ccall t (i : Instr.t) (callee : Value.t) (cargs : Value.t array)
     (cache : I.prepared_func I.callee_cache) : cop =
   let id = i.Instr.id in
@@ -247,86 +220,33 @@ let ccall t (i : Instr.t) (callee : Value.t) (cargs : Value.t array)
   let set fr res =
     match res with Some v -> fr.regs.(id) <- v | None -> ()
   in
-  let direct cpf fr =
-    tick t;
-    set fr (I.enter t cpf (argv fr))
-  in
-  match cache.I.cc with
-  | I.Cc_func cpf -> direct cpf
-  | I.Cc_builtin name ->
+  let direct cpf fr = set fr (I.enter t cpf (argv fr)) in
+  match (cache.I.cc, callee) with
+  | I.Cc_func cpf, _ -> direct cpf
+  | I.Cc_builtin name, _ ->
+      fun fr -> set fr (I.builtin t name (Array.of_list (argv fr)))
+  | I.Cc_unresolved, Value.Fn (name, _) -> (
+      match Hashtbl.find_opt t.I.funcs name with
+      | Some cpf ->
+          cache.I.cc <- I.Cc_func cpf;
+          direct cpf
+      | None -> fun fr -> set fr (I.call_direct t cache name (argv fr)))
+  | I.Cc_unresolved, _ ->
+      let ctarget = cval t callee in
       fun fr ->
-        tick t;
-        set fr (I.builtin t name (Array.of_list (argv fr)))
-  | I.Cc_unresolved -> (
-      match callee with
-      | Value.Fn (name, _) -> (
-          match Hashtbl.find_opt t.I.funcs name with
-          | Some cpf ->
-              cache.I.cc <- I.Cc_func cpf;
-              direct cpf
-          | None ->
-              (* Unresolved at translation time: the defining module may
-                 be linked later.  Resolve on first execution, memoizing
-                 into the shared per-site cache like the interpreter. *)
-              fun fr ->
-                tick t;
-                let args = argv fr in
-                let res =
-                  match cache.I.cc with
-                  | I.Cc_func cpf -> I.enter t cpf args
-                  | I.Cc_builtin nm -> I.builtin t nm (Array.of_list args)
-                  | I.Cc_unresolved -> (
-                      match Hashtbl.find_opt t.I.funcs name with
-                      | Some cpf ->
-                          cache.I.cc <- I.Cc_func cpf;
-                          I.enter t cpf args
-                      | None ->
-                          if I.is_builtin name then begin
-                            cache.I.cc <- I.Cc_builtin name;
-                            I.builtin t name (Array.of_list args)
-                          end
-                          else
-                            I.vm_err "call to undefined function @%s" name)
-                in
-                set fr res)
-      | _ ->
-          let ctarget = cval t callee in
-          fun fr ->
-            tick t;
-            let args = argv fr in
-            let target = I.to_addr (ctarget fr) in
-            (match I.func_name t target with
-            | Some name -> set fr (I.dispatch_call t name args)
-            | None ->
-                I.vm_err "indirect call to non-code address 0x%x" target))
+        let args = argv fr in
+        set fr (I.call_indirect t (I.to_addr (ctarget fr)) args)
 
-(* Intrinsics: pre-compiled operand fetches feeding the shared
-   [I.exec_intr], wrapped in the interpreter's exact charging sequence
-   (base cost by current SVA-OS mode, splay-comparison and cache-hit
-   deltas, the mmu_clone_space page-walk surcharge). *)
+(* Intrinsics: pre-compiled operand fetches feeding the interpreter's
+   own charging sequence. *)
 let cintr t (i : Instr.t) intr (vargs : Value.t array) cost_native
     cost_mediated : cop =
   let id = i.Instr.id in
   let has_result = i.Instr.ty <> Ty.Void in
   let evs = Array.map (cval t) vargs in
   fun fr ->
-    tick t;
-    let mediated = t.I.im_sys.Svaos.mode = Svaos.Sva_mediated in
-    let splay0 = Splay.comparisons () in
-    let hits0 = Stats.cache_hits () in
-    let r = I.exec_intr t intr vargs (Array.map (fun ev -> ev fr) evs) in
-    t.I.ncycles <-
-      t.I.ncycles
-      + (if mediated then cost_mediated else cost_native)
-      + (I.splay_cmp_cost * (Splay.comparisons () - splay0))
-      + (I.cache_hit_cost * (Stats.cache_hits () - hits0));
-    (match (intr, r) with
-    | I.I_mmu_clone_space, Some sid ->
-        t.I.ncycles <-
-          t.I.ncycles
-          + (2 * Svaos.mmu_page_count t.I.im_sys ~sid:(Int64.to_int sid))
-    | _ -> ());
-    match r with
+    let args = Array.map (fun ev -> ev fr) evs in
+    match I.run_intr t intr vargs args cost_native cost_mediated with
     | Some v -> if has_result then fr.regs.(id) <- v
     | None -> ()
 
@@ -346,7 +266,6 @@ let cinsn t fname (p : I.pinsn) : cop =
             let w = I.width_of_value x in
             let cx = cval t x and cy = cval t y in
             fun fr ->
-              tick t;
               let a = cx fr in
               let b = cy fr in
               fr.regs.(id) <-
@@ -355,7 +274,6 @@ let cinsn t fname (p : I.pinsn) : cop =
             let es = I.sizeof t ty in
             let ccount = cval t count in
             fun fr ->
-              tick t;
               let n = Int64.to_int (ccount fr) in
               let size = max 1 (es * max 1 n) in
               t.I.sp <- (t.I.sp + 15) / 16 * 16;
@@ -368,67 +286,52 @@ let cinsn t fname (p : I.pinsn) : cop =
             let w = I.ty_width i.Instr.ty in
             let cp = cval t p in
             fun fr ->
-              tick t;
               fr.regs.(id) <-
                 I.mem_read_int t ~addr:(I.to_addr (cp fr)) ~width:w
         | Instr.Store (v, p) ->
             let w = I.ty_width (Value.ty v) in
             let cv = cval t v and cp = cval t p in
             fun fr ->
-              tick t;
               I.mem_write_int t ~addr:(I.to_addr (cp fr)) ~width:w (cv fr)
         | Instr.Gep (base, idxs) -> cgep t i base idxs
         | Instr.Cast (op, x, ty) -> (
             let cx = cval t x in
             match op with
             | Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sext ->
-                fun fr ->
-                  tick t;
-                  fr.regs.(id) <- cx fr
+                fun fr -> fr.regs.(id) <- cx fr
             | Instr.Trunc -> (
                 match ty with
                 | Ty.Int w ->
                     fun fr ->
-                      tick t;
                       fr.regs.(id) <- Constfold.truncate_to_width w (cx fr)
                 | _ -> I.vm_err "trunc to non-integer")
             | Instr.Zext ->
                 let sw = I.width_of_value x in
-                fun fr ->
-                  tick t;
-                  fr.regs.(id) <- Constfold.zext_of_width sw (cx fr)
+                fun fr -> fr.regs.(id) <- Constfold.zext_of_width sw (cx fr)
             | Instr.Fptosi ->
                 fun fr ->
-                  tick t;
                   fr.regs.(id) <-
                     Int64.of_float (Int64.float_of_bits (cx fr))
             | Instr.Sitofp ->
                 fun fr ->
-                  tick t;
                   fr.regs.(id) <-
                     Int64.bits_of_float (Int64.to_float (cx fr)))
         | Instr.Select (c, x, y) ->
             let cc = cval t c and cx = cval t x and cy = cval t y in
-            fun fr ->
-              tick t;
-              fr.regs.(id) <- (if cc fr <> 0L then cx fr else cy fr)
+            fun fr -> fr.regs.(id) <- (if cc fr <> 0L then cx fr else cy fr)
         | Instr.Malloc (ty, count) ->
             let es = I.sizeof t ty in
             let ccount = cval t count in
             fun fr ->
-              tick t;
               let n = Int64.to_int (ccount fr) in
               fr.regs.(id) <- Int64.of_int (I.heap_alloc t (es * max 1 n))
         | Instr.Free p ->
             let cp = cval t p in
-            fun fr ->
-              tick t;
-              I.heap_free t (I.to_addr (cp fr))
+            fun fr -> I.heap_free t (I.to_addr (cp fr))
         | Instr.Atomic_cas (p, e, r) ->
             let w = I.ty_width (Value.ty e) in
             let cp = cval t p and ce = cval t e and cr = cval t r in
             fun fr ->
-              tick t;
               let addr = I.to_addr (cp fr) in
               let old = I.mem_read_int t ~addr ~width:w in
               if old = ce fr then I.mem_write_int t ~addr ~width:w (cr fr);
@@ -437,119 +340,16 @@ let cinsn t fname (p : I.pinsn) : cop =
             let w = I.ty_width (Value.ty d) in
             let cp = cval t p and cd = cval t d in
             fun fr ->
-              tick t;
               let addr = I.to_addr (cp fr) in
               let old = I.mem_read_int t ~addr ~width:w in
               I.mem_write_int t ~addr ~width:w (Int64.add old (cd fr));
               fr.regs.(id) <- old
-        | Instr.Membar -> fun _ -> tick t
+        | Instr.Membar -> fun _ -> ()
         | Instr.Intrinsic _ | Instr.Call _ | Instr.Phi _ -> assert false)
   in
   match compile () with
   | c -> c
-  | exception e ->
-      fun _ ->
-        tick t;
-        raise e
-
-(* ---------- superinstruction fusion ---------- *)
-
-(* gep+load / gep+store: the computed address feeds the access directly.
-   Both halves keep their own bookkeeping prologue (the step-limit trap
-   can fire between them, exactly as in the interpreter), and the gep
-   result register is still written — later code may read it. *)
-let fuse_gep_access t (g : Instr.t) base idxs (acc : I.pinsn) : cop option =
-  let gid = g.Instr.id in
-  match acc with
-  | I.P_base a -> (
-      match a.Instr.kind with
-      | Instr.Load (Value.Reg (pid, _, _)) when pid = gid -> (
-          match I.ty_width a.Instr.ty with
-          | exception I.Vm_error _ -> None
-          | w ->
-              let cgep_op = cgep t g base idxs in
-              let did = a.Instr.id in
-              Some
-                (fun fr ->
-                  cgep_op fr;
-                  tick t;
-                  fr.regs.(did) <-
-                    I.mem_read_int t
-                      ~addr:(I.to_addr fr.regs.(gid))
-                      ~width:w))
-      | Instr.Store (v, Value.Reg (pid, _, _)) when pid = gid -> (
-          match I.ty_width (Value.ty v) with
-          | exception I.Vm_error _ -> None
-          | w ->
-              let cgep_op = cgep t g base idxs in
-              let cv = cval t v in
-              Some
-                (fun fr ->
-                  cgep_op fr;
-                  tick t;
-                  I.mem_write_int t
-                    ~addr:(I.to_addr fr.regs.(gid))
-                    ~width:w (cv fr)))
-      | _ -> None)
-  | _ -> None
-
-(* lscheck+access: the checked pointer is evaluated once and shared by
-   the check and the guarded load/store.  The check half replicates the
-   interpreter's full charging sequence for pchk_lscheck. *)
-let fuse_check_access t (ci : Instr.t) (vargs : Value.t array) cost_native
-    cost_mediated (acc : I.pinsn) : cop option =
-  if Array.length vargs <> 3 || ci.Instr.ty <> Ty.Void then None
-  else
-    let cmp_id = cval t vargs.(0) in
-    let cptr = cval t vargs.(1) in
-    let clen = cval t vargs.(2) in
-    (* bookkeeping + execution + charging of the lscheck itself; returns
-       the evaluated pointer for the fused access *)
-    let check fr =
-      tick t;
-      let mpid = cmp_id fr in
-      let ptr = cptr fr in
-      let len = clen fr in
-      let mediated = t.I.im_sys.Svaos.mode = Svaos.Sva_mediated in
-      let splay0 = Splay.comparisons () in
-      let hits0 = Stats.cache_hits () in
-      Metapool_rt.lscheck
-        (I.get_mp t (I.to_addr mpid))
-        ~addr:(I.to_addr ptr)
-        ~access_len:(I.to_addr len);
-      t.I.ncycles <-
-        t.I.ncycles
-        + (if mediated then cost_mediated else cost_native)
-        + (I.splay_cmp_cost * (Splay.comparisons () - splay0))
-        + (I.cache_hit_cost * (Stats.cache_hits () - hits0));
-      ptr
-    in
-    match acc with
-    | I.P_base a -> (
-        match a.Instr.kind with
-        | Instr.Load p when Value.equal p vargs.(1) -> (
-            match I.ty_width a.Instr.ty with
-            | exception I.Vm_error _ -> None
-            | w ->
-                let did = a.Instr.id in
-                Some
-                  (fun fr ->
-                    let ptr = check fr in
-                    tick t;
-                    fr.regs.(did) <-
-                      I.mem_read_int t ~addr:(I.to_addr ptr) ~width:w))
-        | Instr.Store (v, p) when Value.equal p vargs.(1) -> (
-            match I.ty_width (Value.ty v) with
-            | exception I.Vm_error _ -> None
-            | w ->
-                let cv = cval t v in
-                Some
-                  (fun fr ->
-                    let ptr = check fr in
-                    tick t;
-                    I.mem_write_int t ~addr:(I.to_addr ptr) ~width:w (cv fr)))
-        | _ -> None)
-    | _ -> None
+  | exception e -> fun _ -> raise e
 
 (* ---------- block compilation ---------- *)
 
@@ -566,33 +366,28 @@ let cterm t fname bi (term : I.pterm) : frame -> int =
   match term with
   | I.P_ret None ->
       fun fr ->
-        tick t;
         fr.prev <- bi;
         fr.ret <- None;
         -1
   | I.P_ret (Some v) ->
       let cv = cval t v in
       fun fr ->
-        tick t;
         fr.prev <- bi;
         fr.ret <- Some (cv fr);
         -1
   | I.P_jmp ix ->
       fun fr ->
-        tick t;
         fr.prev <- bi;
         ix
   | I.P_br (c, th, el) ->
       let cc = cval t c in
       fun fr ->
-        tick t;
         fr.prev <- bi;
         if cc fr <> 0L then th else el
   | I.P_switch (v, cases, default) ->
       let cv = cval t v in
       let n = Array.length cases in
       fun fr ->
-        tick t;
         fr.prev <- bi;
         let x = cv fr in
         let rec go k =
@@ -604,26 +399,8 @@ let cterm t fname bi (term : I.pterm) : frame -> int =
         go 0
   | I.P_unreachable ->
       fun fr ->
-        tick t;
         fr.prev <- bi;
         I.vm_err "reached 'unreachable' in @%s" fname
-
-(* Fused compare+branch: the icmp result is still written (later blocks
-   may read it through phis), and both halves keep their own bookkeeping
-   so the counters and the limit-trap position are unchanged. *)
-let fuse_icmp_br t bi (ic : Instr.t) op x y th el : frame -> int =
-  let w = I.width_of_value x in
-  let cx = cval t x and cy = cval t y in
-  let iid = ic.Instr.id in
-  fun fr ->
-    tick t;
-    let a = cx fr in
-    let b = cy fr in
-    let c = Constfold.eval_icmp op w a b in
-    fr.regs.(iid) <- (if c then 1L else 0L);
-    tick t;
-    fr.prev <- bi;
-    if c then th else el
 
 let cphis t (labels : string array) (pb : I.pblock) : cop option =
   let phis = pb.I.pb_phis in
@@ -650,55 +427,13 @@ let cphis t (labels : string array) (pb : I.pblock) : cop option =
         for k = 0 to n - 1 do
           fr.regs.(dests.(k)) <- fr.scratch.(k)
         done;
-        t.I.nsteps <- t.I.nsteps + n;
-        t.I.ncycles <- t.I.ncycles + n)
+        I.tick_phis t n)
 
 let cblock t fname (labels : string array) bi (pb : I.pblock) : cblock =
-  let body = pb.I.pb_body in
-  let nbody = Array.length body in
-  (* Fused compare+branch consumes the last body instruction when it
-     produces exactly the branch condition. *)
-  let term_fused, body_end =
-    match pb.I.pb_term with
-    | I.P_br (Value.Reg (cid, _, _), th, el) when nbody > 0 -> (
-        match body.(nbody - 1) with
-        | I.P_base ({ Instr.kind = Instr.Icmp (op, x, y); _ } as ic)
-          when ic.Instr.id = cid -> (
-            match fuse_icmp_br t bi ic op x y th el with
-            | f -> (Some f, nbody - 1)
-            | exception _ -> (None, nbody))
-        | _ -> (None, nbody))
-    | _ -> (None, nbody)
-  in
-  let ops = ref [] in
-  let k = ref 0 in
-  while !k < body_end do
-    let fused =
-      if !k + 1 < body_end then
-        match body.(!k) with
-        | I.P_base ({ Instr.kind = Instr.Gep (base, idxs); _ } as g) -> (
-            try fuse_gep_access t g base idxs body.(!k + 1) with _ -> None)
-        | I.P_intr (ci, I.I_pchk_lscheck, vargs, cn, cm) -> (
-            try fuse_check_access t ci vargs cn cm body.(!k + 1)
-            with _ -> None)
-        | _ -> None
-      else None
-    in
-    (match fused with
-    | Some op ->
-        ops := op :: !ops;
-        k := !k + 2
-    | None ->
-        ops := cinsn t fname body.(!k) :: !ops;
-        incr k)
-  done;
   {
     cb_phis = cphis t labels pb;
-    cb_body = Array.of_list (List.rev !ops);
-    cb_term =
-      (match term_fused with
-      | Some f -> f
-      | None -> cterm t fname bi pb.I.pb_term);
+    cb_body = Array.map (cinsn t fname) pb.I.pb_body;
+    cb_term = cterm t fname bi pb.I.pb_term;
   }
 
 (* ---------- function compilation ---------- *)
@@ -712,11 +447,7 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   let blocks = Array.mapi (cblock t fname labels) pf.I.pf_blocks in
   let run_block (cb : cblock) fr =
     (match cb.cb_phis with Some p -> p fr | None -> ());
-    let body = cb.cb_body in
-    for k = 0 to Array.length body - 1 do
-      body.(k) fr
-    done;
-    cb.cb_term fr
+    I.run_block t cb.cb_body cb.cb_term fr
   in
   fun args ->
     let fr =
@@ -827,7 +558,7 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   | None -> from_disk ());
   build t pf
 
-let enable ?(threshold = 16) (t : I.t) =
+let enable ?(threshold = 1) (t : I.t) =
   I.set_jit t
     (Some { I.jit_threshold = max 1 threshold; I.jit_translate = translate })
 

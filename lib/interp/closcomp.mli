@@ -3,23 +3,25 @@
 
     Functions — all of them at once under {!compile_all}, otherwise once
     {!Interp.enter} has counted the installed threshold of calls — are
-    compiled into trees of OCaml closures — per-block
-    fused chains with specialized operand fetches, resolved branch
-    targets, and superinstruction fusion for compare+branch,
-    gep+load/store and check+access pairs.  Each translation is recorded
-    as a signed cache entry keyed by the SHA-256 of the function's
-    bytecode; reuse re-verifies the signature and a tampered entry falls
-    back to re-translation from re-verified bytecode.
+    compiled into trees of OCaml closures: one chain per block, with
+    specialized operand fetches, static gep offsets folded, resolved
+    branch targets and specialized integer binops.  Each translation is
+    recorded as a signed cache entry keyed by the SHA-256 of the
+    function's bytecode; reuse re-verifies the signature and a tampered
+    entry falls back to re-translation from re-verified bytecode.
 
     The engine is semantically invisible: results, traps, check statistics
-    and the modeled cycle counts are bit-identical to the interpreter's.
+    and the modeled cycle counts are bit-identical to the interpreter's,
+    because the compiled code charges steps, cycles and intrinsics and
+    resolves callees through the interpreter's own code
+    ({!Interp.run_block}, {!Interp.run_intr}, {!Interp.call_direct}).
     Only host wall-clock time improves. *)
 
 open Sva_ir
 
 val enable : ?threshold:int -> Interp.t -> unit
 (** Install the tier on a VM: functions entered at least [threshold]
-    times (default 16, clamped to at least 1) are translated and run
+    times (default 1, clamped to at least 1) are translated and run
     compiled from then on. *)
 
 val compile_all : Interp.t -> unit

@@ -716,6 +716,34 @@ let cls_of_code = function
 let splay_cmp_cost = 3
 let cache_hit_cost = 1
 
+(* The per-step prologue of every instruction and terminator, in both
+   engines: count the step, charge its cycle, then enforce the step
+   limit. *)
+let[@inline] tick t =
+  t.nsteps <- t.nsteps + 1;
+  t.ncycles <- t.ncycles + 1;
+  match t.limit with
+  | Some l when t.nsteps > l -> vm_err "step limit exceeded"
+  | _ -> ()
+
+(* A block's phis: one step and one cycle each, taken together on block
+   entry, with no step-limit check. *)
+let[@inline] tick_phis t n =
+  t.nsteps <- t.nsteps + n;
+  t.ncycles <- t.ncycles + n
+
+(* The compiled engine's block driver: the per-step prologue before each
+   body op and before the terminator, where the interpreter's loop takes
+   it.  Keeping the loop here lets [tick] inline into it; the compiled
+   ops themselves charge no steps. *)
+let run_block t (body : ('a -> unit) array) (term : 'a -> int) (x : 'a) =
+  for k = 0 to Array.length body - 1 do
+    tick t;
+    body.(k) x
+  done;
+  tick t;
+  term x
+
 (* Deregister the stack objects of the frames a trap unwound.  Host-side
    cleanup: it runs outside any instruction, so the cycle model charges
    nothing for it, and it bumps no check counter. *)
@@ -733,9 +761,8 @@ let drop_stack_objects t =
 
 (* Execute a decoded intrinsic on already-evaluated arguments.  [vargs]
    (the original operands) are still needed by [pchk_funccheck], whose
-   allowed-set diagnostics use the constant [Value.Fn] names.  Shared by
-   the interpreter and the compiled tier (which pre-compiles the operand
-   fetches). *)
+   allowed-set diagnostics use the constant [Value.Fn] names.  Charges
+   nothing: [run_intr] wraps it in the cycle model. *)
 let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
     int64 option =
   (* Emitting here (rather than per-tier) is what makes the interpreter
@@ -938,6 +965,27 @@ let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
   | I_panic -> vm_err "kernel panic: code %Ld" (a 0)
   | I_unknown name -> vm_err "unknown intrinsic @%s" name
 
+(* The intrinsic charging sequence of both engines: the base cost for
+   the current SVA-OS mode, the splay comparisons and cache hits the
+   operation performed, and the page-table walk of an MMU space
+   duplication. *)
+and run_intr t intr vargs args cost_native cost_mediated =
+  let mediated = t.im_sys.Svaos.mode = Svaos.Sva_mediated in
+  let splay0 = Sva_rt.Splay.comparisons () in
+  let hits0 = Sva_rt.Stats.cache_hits () in
+  let r = exec_intr t intr vargs args in
+  t.ncycles <-
+    t.ncycles
+    + (if mediated then cost_mediated else cost_native)
+    + (splay_cmp_cost * (Sva_rt.Splay.comparisons () - splay0))
+    + (cache_hit_cost * (Sva_rt.Stats.cache_hits () - hits0));
+  (match (intr, r) with
+  | I_mmu_clone_space, Some sid ->
+      t.ncycles <-
+        t.ncycles + (2 * Svaos.mmu_page_count t.im_sys ~sid:(Int64.to_int sid))
+  | _ -> ());
+  r
+
 (* ---------- the main execution loop ---------- *)
 
 and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
@@ -969,62 +1017,23 @@ and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
         regs.(fst blk.pb_phis.(k)) <- phi_scratch.(k)
       done
     end;
-    t.nsteps <- t.nsteps + nphis;
-    t.ncycles <- t.ncycles + nphis;
+    tick_phis t nphis;
     (* Phase 2: straight-line instructions. *)
     let body = blk.pb_body in
     for bi = 0 to Array.length body - 1 do
-      t.nsteps <- t.nsteps + 1;
-      t.ncycles <- t.ncycles + 1;
-      (match t.limit with
-      | Some l when t.nsteps > l -> vm_err "step limit exceeded"
-      | _ -> ());
+      tick t;
       match body.(bi) with
       | P_intr (i, intr, vargs, cost_native, cost_mediated) -> (
-          let mediated = t.im_sys.Svaos.mode = Svaos.Sva_mediated in
-          let splay0 = Sva_rt.Splay.comparisons () in
-          let hits0 = Sva_rt.Stats.cache_hits () in
-          let r = exec_intr t intr vargs (Array.map (eval t regs) vargs) in
-          t.ncycles <-
-            t.ncycles
-            + (if mediated then cost_mediated else cost_native)
-            + (splay_cmp_cost * (Sva_rt.Splay.comparisons () - splay0))
-            + (cache_hit_cost * (Sva_rt.Stats.cache_hits () - hits0));
-          (* MMU space duplication costs a page-table walk. *)
-          (match (intr, r) with
-          | I_mmu_clone_space, Some sid ->
-              t.ncycles <-
-                t.ncycles
-                + (2 * Svaos.mmu_page_count t.im_sys ~sid:(Int64.to_int sid))
-          | _ -> ());
-          match r with
+          let args = Array.map (eval t regs) vargs in
+          match run_intr t intr vargs args cost_native cost_mediated with
           | Some v -> if i.Instr.ty <> Ty.Void then regs.(i.Instr.id) <- v
           | None -> ())
       | P_call (i, callee, cargs, cache) -> (
           let argv = Array.to_list (Array.map (eval t regs) cargs) in
           let res =
-            match cache.cc with
-            | Cc_func cpf -> enter t cpf argv
-            | Cc_builtin name -> builtin t name (Array.of_list argv)
-            | Cc_unresolved -> (
-                match callee with
-                | Value.Fn (name, _) -> (
-                    match Hashtbl.find_opt t.funcs name with
-                    | Some cpf ->
-                        cache.cc <- Cc_func cpf;
-                        enter t cpf argv
-                    | None ->
-                        if is_builtin name then begin
-                          cache.cc <- Cc_builtin name;
-                          builtin t name (Array.of_list argv)
-                        end
-                        else vm_err "call to undefined function @%s" name)
-                | _ -> (
-                    let target = to_addr (eval t regs callee) in
-                    match func_name t target with
-                    | Some name -> dispatch_call t name argv
-                    | None ->
-                        vm_err "indirect call to non-code address 0x%x" target))
+            match callee with
+            | Value.Fn (name, _) -> call_direct t cache name argv
+            | _ -> call_indirect t (to_addr (eval t regs callee)) argv
           in
           match res with Some v -> regs.(i.Instr.id) <- v | None -> ())
       | P_base i -> (
@@ -1110,11 +1119,7 @@ and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
         | Instr.Intrinsic _ | Instr.Call _ | Instr.Phi _ -> assert false)
     done;
     (* Terminator. *)
-    t.nsteps <- t.nsteps + 1;
-    t.ncycles <- t.ncycles + 1;
-    (match t.limit with
-    | Some l when t.nsteps > l -> vm_err "step limit exceeded"
-    | _ -> ());
+    tick t;
     prev := !cur;
     (match blk.pb_term with
     | P_ret v ->
@@ -1177,12 +1182,31 @@ and enter_raw t (pf : prepared_func) (args : int64 list) : int64 option =
           end
           else exec_func t pf args)
 
-and dispatch_call t name argv =
-  match Hashtbl.find_opt t.funcs name with
-  | Some pf -> enter t pf argv
-  | None ->
-      if is_builtin name then builtin t name (Array.of_list argv)
-      else vm_err "call to undefined function @%s" name
+(* A direct call by name, resolved on first execution and memoized in
+   the call site's cache: a defined function, else a builtin.  Lazy
+   because the defining module may be linked after the caller. *)
+and call_direct t cache name argv =
+  match cache.cc with
+  | Cc_func pf -> enter t pf argv
+  | Cc_builtin nm -> builtin t nm (Array.of_list argv)
+  | Cc_unresolved -> (
+      match Hashtbl.find_opt t.funcs name with
+      | Some pf ->
+          cache.cc <- Cc_func pf;
+          enter t pf argv
+      | None ->
+          if is_builtin name then begin
+            cache.cc <- Cc_builtin name;
+            builtin t name (Array.of_list argv)
+          end
+          else vm_err "call to undefined function @%s" name)
+
+(* A call through a code address, looked up on every execution.  Code
+   addresses are only ever given to loaded functions. *)
+and call_indirect t target argv =
+  match func_name t target with
+  | Some name -> enter t (Hashtbl.find t.funcs name) argv
+  | None -> vm_err "indirect call to non-code address 0x%x" target
 
 and call t name args =
   match Hashtbl.find_opt t.funcs name with

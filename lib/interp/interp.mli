@@ -225,12 +225,12 @@ val heap_live_bytes : t -> int
 (** {1 Execution internals}
 
     Exposed for {!Closcomp}, which compiles prepared functions to closure
-    trees sharing these primitives so the two tiers cannot drift. *)
+    trees.  The pieces of the cycle model and of call resolution below
+    are the ones both engines run, so the two cannot drift. *)
 
 val vm_err : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Vm_error} with a formatted message. *)
 
-val eval : t -> int64 array -> Value.t -> int64
 val to_addr : int64 -> int
 val sizeof : t -> Ty.t -> int
 val ty_width : Ty.t -> int
@@ -240,18 +240,36 @@ val mem_read_int : t -> addr:int -> width:int -> int64
 val mem_write_int : t -> addr:int -> width:int -> int64 -> unit
 val heap_alloc : t -> int -> int
 val heap_free : t -> int -> unit
-
-val get_mp : t -> int -> Sva_rt.Metapool_rt.t
-(** Metapool by id.  @raise Vm_error on unknown ids. *)
-
 val builtin : t -> string -> int64 array -> int64 option
-val is_builtin : string -> bool
 
-val exec_intr : t -> intr -> Value.t array -> int64 array -> int64 option
-(** Execute a decoded intrinsic on already-evaluated arguments (the
-    [Value.t array] carries the original operands for [pchk_funccheck]
-    diagnostics).  Performs no cycle accounting — the caller charges the
-    base cost and the splay/cache deltas. *)
+val run_block : t -> ('a -> unit) array -> ('a -> int) -> 'a -> int
+(** [run_block t body term x] runs a compiled block on frame [x]: each op
+    of [body], then [term], whose result (the next block index) it
+    returns.  Each is preceded by the interpreter's per-step prologue:
+    one step, one cycle, then the step-limit check. *)
+
+val tick_phis : t -> int -> unit
+(** Charge a block's [n] phis: [n] steps and [n] cycles, no limit
+    check. *)
+
+val run_intr :
+  t -> intr -> Value.t array -> int64 array -> int -> int -> int64 option
+(** [run_intr t intr vargs args cost_native cost_mediated] executes a
+    decoded intrinsic on already-evaluated arguments (the [Value.t array]
+    carries the original operands for [pchk_funccheck] diagnostics) and
+    charges it: the base cost for the current SVA-OS mode, plus the
+    splay-comparison and cache-hit deltas, plus the page-table walk of
+    [sva_mmu_clone_space]. *)
+
+val call_direct :
+  t -> prepared_func callee_cache -> string -> int64 list -> int64 option
+(** Call a function by name, resolving it on first execution and
+    memoizing the result in the call site's cache: a loaded function,
+    else a builtin, else [Vm_error "call to undefined function"]. *)
+
+val call_indirect : t -> int -> int64 list -> int64 option
+(** Call through a code address.  @raise Vm_error on a non-code
+    address. *)
 
 val exec_func : t -> prepared_func -> int64 list -> int64 option
 (** The interpreter tier: run a prepared function body directly. *)
@@ -262,13 +280,6 @@ val enter : t -> prepared_func -> int64 list -> int64 option
     installed).  When {!Sva_rt.Trace.profiling} is on, the dispatch is
     bracketed with profiler frames — identically for both tiers, and
     balanced even when a safety violation unwinds through it. *)
-
-val dispatch_call : t -> string -> int64 list -> int64 option
-(** Call by name through tier dispatch; falls back to builtins. *)
-
-val splay_cmp_cost : int
-val cache_hit_cost : int
-(** Cycle-model constants for the check runtime (DESIGN.md Section 6). *)
 
 val set_jit : t -> jit option -> unit
 (** Install (or remove) the second execution tier. *)

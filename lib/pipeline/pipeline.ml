@@ -170,10 +170,9 @@ let range_ls_elided = function
   | None -> 0
 
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
-    ?(options = Checkinsert.default_options) ?(typecheck = true)
-    ?(clone = false) ?(devirt = false) ?(checkopt = false) ?(lint = false)
-    ?lint_config ?(ranges = false) ?(races = false) ?(poolcert = false)
-    ~name m =
+    ?(options = Checkinsert.default_options) ?(clone = false)
+    ?(devirt = false) ?(checkopt = false) ?(lint = false) ?lint_config
+    ?(ranges = false) ?(races = false) ?(poolcert = false) ~name m =
   match conf with
   | Native | Sva_gcc | Sva_llvm ->
       {
@@ -200,21 +199,15 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
       (* Section 5: encode the analysis as metapool type annotations and
          run the (simple, intraprocedural, trusted) checker before any
          instrumentation is emitted. *)
-      let annot =
-        if typecheck then begin
-          let an = Sva_tyck.Tyck.extract m pa mps in
-          let trusted = Sva_tyck.Tyck.trusted_of_config aconfig in
-          (match Sva_tyck.Tyck.check ~trusted m an with
-          | [] -> ()
-          | errs ->
-              failwith
-                ("metapool type checking failed:\n"
-                ^ String.concat "\n"
-                    (List.map Sva_tyck.Tyck.string_of_error errs)));
-          Some an
-        end
-        else None
-      in
+      let annot = Sva_tyck.Tyck.extract m pa mps in
+      let trusted = Sva_tyck.Tyck.trusted_of_config aconfig in
+      (match Sva_tyck.Tyck.check ~trusted m annot with
+      | [] -> ()
+      | errs ->
+          failwith
+            ("metapool type checking failed:\n"
+            ^ String.concat "\n"
+                (List.map Sva_tyck.Tyck.string_of_error errs)));
       (* Pool-safety evidence (Section 5 applied to the points-to layer):
          distill the analysis into an explicit certificate bundle before
          anything consumes it, so devirtualization and check insertion
@@ -327,7 +320,7 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_mps = Some mps;
         bl_summary = Some summary;
         bl_aconfig = aconfig;
-        bl_annot = annot;
+        bl_annot = Some annot;
         bl_cloned = cloned;
         bl_devirt = devirted;
         bl_checkopt = co;
@@ -337,16 +330,16 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = pbundle;
       }
 
-let build ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt ?lint
-    ?lint_config ?ranges ?races ?poolcert ~name sources =
+let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?lint_config
+    ?ranges ?races ?poolcert ~name sources =
   let pipeline =
     match conf with
     | Some Native | Some Sva_gcc -> Passes.Gcc_like
     | Some Sva_llvm | Some Sva_safe | None -> Passes.Llvm_like
   in
   let m = compile ~pipeline ~name sources in
-  build_module ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt
-    ?lint ?lint_config ?ranges ?races ?poolcert ~name m
+  build_module ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint
+    ?lint_config ?ranges ?races ?poolcert ~name m
 
 (* Every number here is a fact of the built image itself, so two builds
    in one process report independently and no counter reset can lose
@@ -416,14 +409,14 @@ let instantiate ?sys ?(engine = default_engine) ?(smp = default_smp) built =
   | Some _ as d -> Sva_interp.Tcache_disk.set_dir d
   | None -> ());
   (* Compiled engine, if selected: installed before any code runs.  AOT
-     closure-compiles the whole kernel right now (threshold 1 compiles
-     functions linked later on their first call) — against a populated
-     persistent store this is pure verified reuse, so a second process
-     boots hot. *)
+     closure-compiles the whole kernel right now (the default threshold,
+     1, compiles functions linked later on their first call) — against a
+     populated persistent store this is pure verified reuse, so a second
+     process boots hot. *)
   (match engine.eng_kind with
   | Interp -> ()
   | Aot ->
-      Sva_interp.Closcomp.enable ~threshold:1 t;
+      Sva_interp.Closcomp.enable t;
       Sva_interp.Closcomp.compile_all t);
   (* SVM boot step: register every global object in its metapool before
      control first enters the program. *)

@@ -156,7 +156,6 @@ val build :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?typecheck:bool ->
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->
@@ -171,11 +170,11 @@ val build :
 (** Compile MiniC sources under a configuration.  For [Sva_safe] the full
     safety pipeline runs: optional function cloning (Section 4.8),
     points-to analysis, metapool inference, metapool type annotation
-    extraction + trusted type checking (unless [~typecheck:false]),
-    optional devirtualization, the optional static lint stage (whose
-    safe-access proofs elide provably-redundant load/store checks),
-    run-time check insertion, the optional check optimizations of
-    Section 7.1.3, and IR re-verification.  [lint_config] defaults to
+    extraction + trusted type checking, optional devirtualization, the
+    optional static lint stage (whose safe-access proofs elide
+    provably-redundant load/store checks), run-time check insertion, the
+    optional check optimizations of Section 7.1.3, and IR
+    re-verification.  [lint_config] defaults to
     {!Sva_lint.Lint.config_of_aconfig} of [aconfig].
 
     [~ranges:true] additionally runs the value-range abstract
@@ -214,7 +213,6 @@ val build_module :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?typecheck:bool ->
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->

@@ -17,6 +17,9 @@ module Boot = Ukern.Boot
 
 (* ---------- differential property: random programs ---------- *)
 
+(* The data-dependent [hist] indices keep run-time bounds checks in every
+   iteration, so the differential also covers intrinsic charging and,
+   under a step limit, the trap position around a check. *)
 let gen_program seed =
   let rng = Random.State.make [| seed |] in
   let e1 = Randexpr.gen_expr rng 3 in
@@ -24,23 +27,30 @@ let gen_program seed =
   let e3 = Randexpr.gen_expr rng 2 in
   let shift = Random.State.int rng 8 in
   Printf.sprintf
-    "int helper(int x, int i) { return (x ^ (x << %d)) + i * 3; }\n\
+    "int hist[8];\n\
+     int helper(int x, int i) { return (x ^ (x << %d)) + i * 3; }\n\
      int f(int a, int b) {\n\
     \  int c = %s;\n\
     \  int acc = 0;\n\
     \  for (int i = 0; i < 8; i++) {\n\
     \    if ((%s) > acc) acc += helper(c, i); else acc ^= (%s);\n\
+    \    hist[acc & 7] += i;\n\
+    \    acc ^= hist[(c + i) & 7];\n\
     \    c = c + i;\n\
     \  }\n\
-    \  return acc;\n\
+    \  return acc + hist[c & 7];\n\
      }"
     shift e1 e2 e3
 
-(* Run a safe-built module's [f] on an engine: result (or trap message),
-   step count, modeled cycles and the check-stat snapshot. *)
-let run_built built engine args =
+(* Run a safe-built module's [f] on an engine, optionally with a step
+   limit [k] steps past instantiation: result (or trap message), step
+   count, modeled cycles and the check-stat snapshot. *)
+let run_built built engine limit args =
   Stats.reset ();
   let t = Pipeline.instantiate ?engine built in
+  Option.iter
+    (fun k -> Interp.set_step_limit t (Some (Interp.steps t + k)))
+    limit;
   let r =
     match Interp.call t "f" args with
     | v -> Ok v
@@ -50,20 +60,26 @@ let run_built built engine args =
   in
   (r, Interp.steps t, Interp.cycles t, Stats.read ())
 
+(* No step limit, or one that lands somewhere inside the run, so the
+   trap position is compared across engines too. *)
+let gen_limit max_steps = QCheck2.Gen.(opt (int_range 0 max_steps))
+
 let prop_engines_agree =
   let gen =
-    QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
+    QCheck2.Gen.(
+      tup4 (int_range 0 5000) small_signed_int small_signed_int
+        (gen_limit 400))
   in
   QCheck2.Test.make ~name:"aot agrees with the interpreter"
-    ~count:30 gen (fun (seed, a, b) ->
+    ~count:60 gen (fun (seed, a, b, limit) ->
       let src = gen_program seed in
       let built =
         Pipeline.build ~conf:Pipeline.Sva_safe ~name:"rand" [ src ]
       in
       let args = [ Int64.of_int a; Int64.of_int b ] in
-      let ri = run_built built None args in
+      let ri = run_built built None limit args in
       Closcomp.clear_cache ();
-      let ra = run_built built (Some Pipeline.aot_engine) args in
+      let ra = run_built built (Some Pipeline.aot_engine) limit args in
       ri = ra)
 
 (* Same property with the certified range elision on: the elided-check
@@ -87,21 +103,23 @@ let gen_range_program seed =
 
 let prop_engines_agree_with_ranges =
   let gen =
-    QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
+    QCheck2.Gen.(
+      tup4 (int_range 0 5000) small_signed_int small_signed_int
+        (gen_limit 2000))
   in
   QCheck2.Test.make
     ~name:"aot agrees under range elision"
     ~count:15 gen
-    (fun (seed, a, b) ->
+    (fun (seed, a, b, limit) ->
       let src = gen_range_program seed in
       let built =
         Pipeline.build ~conf:Pipeline.Sva_safe ~ranges:true ~name:"rand-rg"
           [ src ]
       in
       let args = [ Int64.of_int a; Int64.of_int b ] in
-      let ri = run_built built None args in
+      let ri = run_built built None limit args in
       Closcomp.clear_cache ();
-      let ra = run_built built (Some Pipeline.aot_engine) args in
+      let ra = run_built built (Some Pipeline.aot_engine) limit args in
       ri = ra)
 
 (* ---------- the five exploits agree on both engines ---------- *)
