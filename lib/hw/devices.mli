@@ -6,8 +6,10 @@
 
 type console = { mutable out : Buffer.t }
 
+(** Never-written blocks are the shared [Bytes.empty] and read as zeros;
+    the first [disk_write] to a block gives it its own buffer. *)
 type ramdisk = {
-  rd_blocks : Bytes.t;
+  rd_blocks : Bytes.t array;
   rd_block_size : int;
   mutable rd_reads : int;
   mutable rd_writes : int;

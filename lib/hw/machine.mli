@@ -2,16 +2,25 @@
 
     The machine exposes a flat physical address space carved into fixed
     regions (BIOS, SVM-reserved, kernel globals, kernel heap, kernel
-    stacks, userspace frames).  Each region is one contiguous byte buffer,
-    so an out-of-bounds write inside a region silently corrupts whatever
-    object is adjacent — exactly the behaviour memory-safety exploits rely
-    on, and what the SVA run-time checks must catch {e before} the access
-    happens.  Only access outside any region (or to a page the MMU says is
-    unmapped) raises {!Hw_fault}, modelling a hardware fault.
+    stacks, userspace frames).  Each region behaves as one contiguous
+    byte buffer, so an out-of-bounds write inside a region silently
+    corrupts whatever object is adjacent — exactly the behaviour
+    memory-safety exploits rely on, and what the SVA run-time checks must
+    catch {e before} the access happens.  Only access outside any region
+    (or to a page the MMU says is unmapped) raises {!Hw_fault}, modelling
+    a hardware fault.
 
     The SVM-reserved region models the ~20KB the virtual machine reserves
     for its own bootstrap (Section 3.4); stores to it from kernel code are
-    refused unless performed through the SVM itself. *)
+    refused unless performed through the SVM itself.
+
+    Underneath, a region is an array of 4 KB page frames.  Every frame
+    starts as one shared, never-written zero frame and gets its own buffer
+    on the first store to it, so a fresh machine costs its frame tables
+    and not a fill of every region.  Accesses inside one frame touch it
+    directly; accesses that cross a frame boundary are copied frame by
+    frame.  None of this is visible through the interface: contents,
+    faults and their messages are those of the contiguous regions above. *)
 
 exception Hw_fault of int * string
 (** Raised on access outside mapped memory: (address, reason). *)
@@ -69,6 +78,10 @@ val blit : t -> src:int -> dst:int -> len:int -> unit
 (** memmove semantics within/between regions. *)
 
 val fill : t -> addr:int -> len:int -> char -> unit
+
+val resident_frames : t -> int
+(** Frames that own a buffer, i.e. have been stored to.  Loads and
+    refused or faulting stores give no frame a buffer. *)
 
 val in_user_range : addr:int -> len:int -> bool
 (** Whether a byte range lies entirely within the userspace region. *)

@@ -458,8 +458,13 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
   write_global_inits t fresh;
   (* Trace timestamps are this VM's modeled-cycle clock.  Reading a
      mutable field through a closure keeps disabled-mode cost at zero:
-     nothing here runs unless an event is actually recorded. *)
-  Sva_rt.Trace.clock := (fun () -> t.ncycles);
+     nothing here runs unless an event is actually recorded.  The clock
+     holds the VM weakly, so a discarded VM and its memory can be
+     collected before the next load. *)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some t);
+  (Sva_rt.Trace.clock :=
+     fun () -> match Weak.get self 0 with Some t -> t.ncycles | None -> 0);
   t
 
 (* Dynamic module loading: link, place code, lay out and initialize the

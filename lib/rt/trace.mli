@@ -58,7 +58,8 @@ val current_cpu : unit -> int
 
 val clock : (unit -> int) ref
 (** Timestamp source, read at each emission.  {!Sva_interp.Interp.load}
-    installs the VM's modeled-cycle counter; outside any VM it reads 0.
+    installs the VM's modeled-cycle counter, holding the VM weakly;
+    outside any VM, or once that VM has been collected, it reads 0.
     Because both execution tiers keep bit-identical cycle counts, the
     same workload produces the same timestamps on either engine. *)
 

@@ -121,6 +121,34 @@ let run_built built engine args =
   in
   (r, Interp.steps t, Interp.cycles t, Stats.read ())
 
+(* ---------- the trace clock holds its VM weakly ---------- *)
+
+(* Events are stamped with the live VM's cycles, and a dropped VM (with
+   its machine memory) is collectable: the clock does not pin it. *)
+let test_clock_weak () =
+  let built =
+    Pipeline.build ~conf:Pipeline.Sva_safe ~name:"clock" [ gen_program 1 ]
+  in
+  let w = Weak.create 1 in
+  let[@inline never] run () =
+    let t = Pipeline.instantiate built in
+    Weak.set w 0 (Some t);
+    ignore (Interp.call t "f" [ 3L; 4L ]);
+    with_trace (fun () ->
+        Trace.emit_svaos "probe";
+        let e = List.hd (Trace.events ()) in
+        Alcotest.(check bool) "VM ran" true (Interp.cycles t > 0);
+        Alcotest.(check int) "event carries the live VM's cycles"
+          (Interp.cycles t) e.Trace.ev_ts)
+  in
+  run ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped VM collected" false (Weak.check w 0);
+  with_trace (fun () ->
+      Trace.emit_svaos "probe";
+      Alcotest.(check int) "clock of a collected VM reads 0" 0
+        (List.hd (Trace.events ())).Trace.ev_ts)
+
 let arg_gen =
   QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
 
@@ -315,6 +343,7 @@ let () =
         [
           Alcotest.test_case "disabled emission allocates nothing" `Quick
             test_disabled_zero_alloc;
+          Alcotest.test_case "clock holds its VM weakly" `Quick test_clock_weak;
           QCheck_alcotest.to_alcotest prop_tracing_invisible;
           QCheck_alcotest.to_alcotest prop_engines_emit_identically;
         ] );
