@@ -15,11 +15,16 @@ let translate (m : Irmod.t) =
   (* The interpreter is the translator; its deterministic input is the
      bytecode, so the cacheable translation artifact is a fingerprint over
      the bytecode plus the translation scheme version. *)
-  Sha256.hex ("svm-translate-v1:" ^ Codec.encode m)
+  Sha256.to_hex (Sha256.digestv [ "svm-translate-v1:"; Codec.encode m ])
 
+(* The signed message "<len>:name|<len>:bytecode|<len>:native", as parts
+   so the HMAC streams the bytecode in place instead of copying it. *)
 let payload name bytecode native =
-  Printf.sprintf "%d:%s|%d:%s|%d:%s" (String.length name) name
-    (String.length bytecode) bytecode (String.length native) native
+  [
+    Printf.sprintf "%d:%s|%d:" (String.length name) name (String.length bytecode);
+    bytecode;
+    Printf.sprintf "|%d:%s" (String.length native) native;
+  ]
 
 let sign m =
   let bytecode = Codec.encode m in
@@ -29,12 +34,12 @@ let sign m =
     ce_module_name = name;
     ce_bytecode = bytecode;
     ce_native = native;
-    ce_signature = Sha256.hmac ~key:!svm_key (payload name bytecode native);
+    ce_signature = Sha256.hmacv ~key:!svm_key (payload name bytecode native);
   }
 
 let verify e =
   let expect =
-    Sha256.hmac ~key:!svm_key (payload e.ce_module_name e.ce_bytecode e.ce_native)
+    Sha256.hmacv ~key:!svm_key (payload e.ce_module_name e.ce_bytecode e.ce_native)
   in
   if not (String.equal expect e.ce_signature) then
     raise (Tampered ("signature mismatch for module " ^ e.ce_module_name));
@@ -84,18 +89,20 @@ let sign_function ~name ~bytecode ~native =
     fe_hash = Sha256.hex bytecode;
     fe_bytecode = bytecode;
     fe_native = native;
-    fe_signature = Sha256.hmac ~key:!svm_key (fpayload name bytecode native);
+    fe_signature = Sha256.hmacv ~key:!svm_key (fpayload name bytecode native);
   }
 
-let verify_function e ~bytecode ~native =
+(* [key] is the caller's SHA-256 hex of [bytecode] (the engine memoizes
+   it per function), so a hit costs the one HMAC pass and no rehash. *)
+let verify_function e ~key ~bytecode ~native =
   let expect =
-    Sha256.hmac ~key:!svm_key (fpayload e.fe_name e.fe_bytecode e.fe_native)
+    Sha256.hmacv ~key:!svm_key (fpayload e.fe_name e.fe_bytecode e.fe_native)
   in
   if not (String.equal expect e.fe_signature) then
     raise (Tampered ("signature mismatch for function " ^ e.fe_name));
   if not (String.equal e.fe_bytecode bytecode) then
     raise (Tampered ("cached bytecode differs for function " ^ e.fe_name));
-  if not (String.equal e.fe_hash (Sha256.hex bytecode)) then
+  if not (String.equal e.fe_hash key) then
     raise (Tampered ("cache key mismatch for function " ^ e.fe_name));
   if not (String.equal e.fe_native native) then
     raise (Tampered ("stale native translation for function " ^ e.fe_name))

@@ -58,10 +58,19 @@ type fentry = {
 
 val sign_function : name:string -> bytecode:string -> native:string -> fentry
 
-val verify_function : fentry -> bytecode:string -> native:string -> unit
+val verify_function :
+  fentry -> key:string -> bytecode:string -> native:string -> unit
 (** Check an entry against the function about to be executed: the
-    signature must verify under the SVM key and the cached bytecode,
-    key and native artifact must match the presented ones.
+    signature must verify under the SVM key, the cached bytecode must
+    equal [bytecode], [fe_hash] must equal [key] and the cached native
+    artifact must equal [native].
+
+    [key] must be the SHA-256 hex of [bytecode]; the compiled engine
+    memoizes both per function ({!Sva_interp.Closcomp}), so a verified
+    reuse costs one streamed HMAC pass over name, bytecode and native and
+    no other hashing.  Since the bytecode must match exactly and the key
+    is its digest, comparing [fe_hash] with [key] checks the same thing a
+    rehash would.
     @raise Tampered otherwise. *)
 
 val tamper_fentry_signature : fentry -> fentry

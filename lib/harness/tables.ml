@@ -1150,12 +1150,12 @@ let aot_data ?(quick = false) () =
         (* a cleared in-memory cache is what a fresh process starts with *)
         Sva_interp.Closcomp.clear_cache ();
         Sva_rt.Stats.reset_tier ();
-        let t0 = Unix.gettimeofday () in
+        let t0 = Timing.now () in
         let t =
           Boot.boot_built ?engine (image Pipeline.Sva_safe)
             ~variant:Kbuild.as_tested
         in
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+        let ns = (Timing.now () -. t0) *. 1e9 in
         (t, ns, Sva_rt.Stats.read_tier ())
       in
       let d =

@@ -1,6 +1,7 @@
 type sample = { s_per_op_ns : float; s_batches : int; s_reps : int }
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock, which no wall-clock step can move. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let measure ?(batches = 7) ?(reps = 50) f =
   (* Warm up caches and the allocator paths. *)

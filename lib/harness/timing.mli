@@ -3,7 +3,13 @@
     Each measurement runs the operation in batches and reports the median
     batch, which is robust against GC pauses and scheduler noise — the
     same role HBench-OS's 50-iteration design plays in the paper
-    (Section 7.1.2). *)
+    (Section 7.1.2).  Time is read from the monotonic clock (the same
+    one [perfbench] and the Bechamel section use), so a wall-clock
+    adjustment cannot land inside a batch. *)
+
+val now : unit -> float
+(** Seconds on the host's monotonic clock; only differences mean
+    anything. *)
 
 type sample = {
   s_per_op_ns : float;  (** median seconds-per-operation, in nanoseconds *)

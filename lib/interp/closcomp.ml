@@ -474,8 +474,42 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
 
 let cache : (string, Signing.fentry) Hashtbl.t = Hashtbl.create 64
 
-let native_artifact ~bytecode = Sha256.hex ("svm-closcomp-v1:" ^ bytecode)
-let key_of_func f = Sha256.hex (Codec.encode_func f)
+let native_artifact ~bytecode =
+  Sha256.to_hex (Sha256.digestv [ "svm-closcomp-v1:"; bytecode ])
+
+(* What the cache needs of a function depends on the function alone, so
+   it is computed once, not once per VM: the bytecode, its SHA-256 (the
+   cache key) and the native artifact.  The memo is keyed by name, and an
+   entry counts only for the very [Func.t] it was computed from (physical
+   equality): VMs instantiated from one [Pipeline.built] share their
+   [Func.t]s and hit, while a different function later linked under the
+   same name is encoded afresh and replaces the entry. *)
+type image = {
+  im_func : Func.t;
+  im_bytecode : string;
+  im_key : string;
+  im_native : string;
+}
+
+let images : (string, image) Hashtbl.t = Hashtbl.create 64
+
+let image_of (f : Func.t) =
+  match Hashtbl.find_opt images f.Func.f_name with
+  | Some im when im.im_func == f -> im
+  | _ ->
+      let bytecode = Codec.encode_func f in
+      let im =
+        {
+          im_func = f;
+          im_bytecode = bytecode;
+          im_key = Sha256.hex bytecode;
+          im_native = native_artifact ~bytecode;
+        }
+      in
+      Hashtbl.replace images f.Func.f_name im;
+      im
+
+let key_of_func f = (image_of f).im_key
 
 (* Translation-time bytecode re-verification: the function must decode
    from its bytecode and round-trip bit-exactly.  This is the work a
@@ -489,7 +523,9 @@ let reverify fname bytecode =
   if not ok then
     I.vm_err "translation: bytecode re-verification failed for @%s" fname
 
-let clear_cache () = Hashtbl.reset cache
+let clear_cache () =
+  Hashtbl.reset cache;
+  Hashtbl.reset images
 let cache_size () = Hashtbl.length cache
 let cached_entry key = Hashtbl.find_opt cache key
 
@@ -507,9 +543,9 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
      engines' traces: the interpreter never promotes.  The event-identity
      tests filter them out before comparing streams. *)
   if !Sva_rt.Trace.active then Sva_rt.Trace.emit_tier_promote fname;
-  let bytecode = Codec.encode_func pf.I.pf in
-  let key = Sha256.hex bytecode in
-  let native = native_artifact ~bytecode in
+  let { im_bytecode = bytecode; im_key = key; im_native = native; _ } =
+    image_of pf.I.pf
+  in
   (* Section 3.4: a miss (or a cached translation whose signature does
      not verify) re-translates from re-verified bytecode, re-signs the
      result, and persists it for the next process. *)
@@ -538,7 +574,7 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
     | Tcache_disk.Corrupt _ -> fresh ~disk_stale:true
     | Tcache_disk.Entry e -> (
         Stats.bump_sig_verification ();
-        match Signing.verify_function e ~bytecode ~native with
+        match Signing.verify_function e ~key ~bytecode ~native with
         | () ->
             Stats.bump_tcache_hit ();
             Stats.bump_tcache_disk_hit ();
@@ -550,7 +586,7 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   (match Hashtbl.find_opt cache key with
   | Some e -> (
       Stats.bump_sig_verification ();
-      match Signing.verify_function e ~bytecode ~native with
+      match Signing.verify_function e ~key ~bytecode ~native with
       | () ->
           Stats.bump_tcache_hit ();
           if !Sva_rt.Trace.active then Sva_rt.Trace.emit_tcache_hit fname

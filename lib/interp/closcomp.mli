@@ -10,6 +10,15 @@
     function's bytecode; reuse re-verifies the signature and a tampered
     entry falls back to re-translation from re-verified bytecode.
 
+    A function's bytecode, cache key and native artifact are computed
+    once and memoized by function name.  A memo entry is used only for
+    the physically same ([==]) [Func.t] it was computed from, so VMs
+    instantiated from one [Pipeline.built] share it, and a different
+    function linked later under the same name is encoded afresh and
+    replaces it.  A [Func.t] must therefore not be mutated after it is
+    first translated.  With the memo, a warm cache hit is one HMAC pass
+    ({!Sva_bytecode.Signing.verify_function}) and no encoding.
+
     The engine is semantically invisible: results, traps, check statistics
     and the modeled cycle counts are bit-identical to the interpreter's,
     because the compiled code charges steps, cycles and intrinsics and
@@ -47,10 +56,14 @@ val translate :
 (** {1 Translation cache introspection (tests and demos)} *)
 
 val key_of_func : Func.t -> string
-(** The cache key: SHA-256 hex of the function's bytecode. *)
+(** The cache key: SHA-256 hex of the function's bytecode (read from,
+    and recorded in, the per-function memo). *)
 
 val cache_size : unit -> int
+
 val clear_cache : unit -> unit
+(** Empty the signed translation cache and the per-function memo, so
+    the next translation starts cold: it encodes and hashes again. *)
 
 val cached_entry : string -> Sva_bytecode.Signing.fentry option
 (** Look up the signed entry recorded under a cache key. *)

@@ -511,27 +511,89 @@ let xlate t ~write addr =
   if Machine.in_kernel_range ~addr then addr
   else Mmu.translate t.im_sys.Svaos.mmu ~addr ~write
 
+(* A user word access that straddles a virtual page goes to two frames
+   that need not be adjacent.  Both pages are translated before any byte
+   moves, so an unmapped or read-only second page faults at its first
+   byte and a store lands in neither page.  Other widths take the
+   one-page path, where [Machine] rejects them. *)
+let straddles ~addr ~width =
+  (width = 2 || width = 4 || width = 8)
+  && (addr land (Machine.page_size - 1)) + width > Machine.page_size
+
+let split_pages t ~write ~addr =
+  let n1 = Machine.page_size - (addr land (Machine.page_size - 1)) in
+  let p1 = xlate t ~write addr in
+  let p2 = xlate t ~write (addr + n1) in
+  (p1, n1, p2)
+
 let mem_read_int t ~addr ~width =
-  Machine.read_int t.im_sys.Svaos.machine ~addr:(xlate t ~write:false addr) ~width
+  let m = t.im_sys.Svaos.machine in
+  if Machine.in_kernel_range ~addr then Machine.read_int m ~addr ~width
+  else if straddles ~addr ~width then begin
+    let p1, n1, p2 = split_pages t ~write:false ~addr in
+    let b = Bytes.create 8 in
+    Bytes.blit (Machine.read m ~addr:p1 ~len:n1) 0 b 0 n1;
+    Bytes.blit (Machine.read m ~addr:p2 ~len:(width - n1)) 0 b n1 (width - n1);
+    (* sign-extended like [Machine.read_int] *)
+    match width with
+    | 2 -> Int64.of_int (Bytes.get_int16_le b 0)
+    | 4 -> Int64.of_int32 (Bytes.get_int32_le b 0)
+    | _ -> Bytes.get_int64_le b 0
+  end
+  else
+    Machine.read_int m
+      ~addr:(Mmu.translate t.im_sys.Svaos.mmu ~addr ~write:false)
+      ~width
 
 let mem_write_int t ~addr ~width v =
-  Machine.write_int t.im_sys.Svaos.machine ~addr:(xlate t ~write:true addr) ~width v
+  let m = t.im_sys.Svaos.machine in
+  if Machine.in_kernel_range ~addr then Machine.write_int m ~addr ~width v
+  else if straddles ~addr ~width then begin
+    let p1, n1, p2 = split_pages t ~write:true ~addr in
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    Machine.write m ~addr:p1 (Bytes.sub b 0 n1);
+    Machine.write m ~addr:p2 (Bytes.sub b n1 (width - n1))
+  end
+  else
+    Machine.write_int m
+      ~addr:(Mmu.translate t.im_sys.Svaos.mmu ~addr ~write:true)
+      ~width v
 
-(* Bulk copy that translates page-by-page for user ranges. *)
+let blit_chunk t ~s ~d n =
+  Machine.blit t.im_sys.Svaos.machine
+    ~src:(xlate t ~write:false s)
+    ~dst:(xlate t ~write:true d)
+    ~len:n
+
+(* Bulk copy that translates page-by-page for user ranges.  Chunks are
+   walked backwards when the destination starts inside the source,
+   above it, so no chunk reads bytes an earlier chunk overwrote. *)
 let mem_blit t ~src ~dst ~len =
-  let remaining = ref len and s = ref src and d = ref dst in
-  while !remaining > 0 do
-    let chunk_s = Machine.page_size - (!s mod Machine.page_size) in
-    let chunk_d = Machine.page_size - (!d mod Machine.page_size) in
-    let chunk = min !remaining (min chunk_s chunk_d) in
-    Machine.blit t.im_sys.Svaos.machine
-      ~src:(xlate t ~write:false !s)
-      ~dst:(xlate t ~write:true !d)
-      ~len:chunk;
-    s := !s + chunk;
-    d := !d + chunk;
-    remaining := !remaining - chunk
-  done
+  let ps = Machine.page_size in
+  if src < dst && dst < src + len then begin
+    let remaining = ref len in
+    while !remaining > 0 do
+      let s_end = src + !remaining and d_end = dst + !remaining in
+      let chunk_s = ((s_end - 1) mod ps) + 1 in
+      let chunk_d = ((d_end - 1) mod ps) + 1 in
+      let chunk = min !remaining (min chunk_s chunk_d) in
+      blit_chunk t ~s:(s_end - chunk) ~d:(d_end - chunk) chunk;
+      remaining := !remaining - chunk
+    done
+  end
+  else begin
+    let remaining = ref len and s = ref src and d = ref dst in
+    while !remaining > 0 do
+      let chunk_s = ps - (!s mod ps) in
+      let chunk_d = ps - (!d mod ps) in
+      let chunk = min !remaining (min chunk_s chunk_d) in
+      blit_chunk t ~s:!s ~d:!d chunk;
+      s := !s + chunk;
+      d := !d + chunk;
+      remaining := !remaining - chunk
+    done
+  end
 
 let mem_fill t ~addr ~len c =
   let remaining = ref len and a = ref addr in

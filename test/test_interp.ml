@@ -6,6 +6,8 @@ open Sva_ir
 module Interp = Sva_interp.Interp
 module Machine = Sva_hw.Machine
 module Svaos = Sva_os.Svaos
+module Closcomp = Sva_interp.Closcomp
+module Pipeline = Sva_pipeline.Pipeline
 
 let build_module f =
   let m = Irmod.create "t" in
@@ -261,6 +263,111 @@ let test_user_translation () =
   Alcotest.(check (option int64)) "translated read" (Some 424242L)
     (Interp.call t "peek" [ Int64.of_int Machine.user_base ])
 
+(* Both engines on a loaded VM: the interpreter as loaded, and the whole
+   module compiled ahead of time. *)
+let engines =
+  [
+    ("interp", fun _ -> ());
+    ("aot", fun t -> Closcomp.enable t; Closcomp.compile_all t);
+  ]
+
+(* A word access 4 bytes before the end of user page v, where v maps to
+   frame F and v+1 to frame G, with G not F+1: each half must land in
+   its own page's frame.  A straddle into an unmapped or read-only next
+   page faults at that page's first byte and stores nothing. *)
+let test_user_page_straddle () =
+  let m =
+    build_module (fun m ->
+        simple_fn m ~params:[ ("p", Ty.Ptr Ty.i64) ] "peek" (fun f b ->
+            let v = Builder.b_load b (Func.param_value f 0) in
+            Builder.b_ret b (Some v));
+        simple_fn m ~ret:Ty.Void
+          ~params:[ ("p", Ty.Ptr Ty.i64); ("v", Ty.i64) ]
+          "poke"
+          (fun f b ->
+            Builder.b_store b (Func.param_value f 1) (Func.param_value f 0);
+            Builder.b_ret b None))
+  in
+  List.iter
+    (fun (engine, setup) ->
+      let sys = Svaos.create () in
+      let t = Interp.load ~sys m in
+      setup t;
+      let mach = sys.Svaos.machine in
+      let sid = Svaos.mmu_new_space sys in
+      Svaos.mmu_activate sys ~sid;
+      let v = Machine.user_base / Machine.page_size in
+      let frame_f = v + 5 and frame_g = v + 9 in
+      Svaos.mmu_map_page sys ~sid ~vpn:v ~ppn:frame_f ~writable:true;
+      Svaos.mmu_map_page sys ~sid ~vpn:(v + 1) ~ppn:frame_g ~writable:true;
+      let page n = n * Machine.page_size in
+      let addr = page (v + 1) - 4 in
+      let value = 0x1122334455667788L in
+      ignore (Interp.call t "poke" [ Int64.of_int addr; value ]);
+      let phys a w = Machine.read_int mach ~addr:a ~width:w in
+      let name what = Printf.sprintf "%s: %s" engine what in
+      Alcotest.(check int64) (name "low half in F") 0x55667788L
+        (phys (page frame_f + Machine.page_size - 4) 4);
+      Alcotest.(check int64) (name "high half in G") 0x11223344L
+        (phys (page frame_g) 4);
+      Alcotest.(check int64) (name "F+1 untouched") 0L
+        (phys (page (frame_f + 1)) 4);
+      Alcotest.(check (option int64)) (name "read back") (Some value)
+        (Interp.call t "peek" [ Int64.of_int addr ]);
+      let expect_fault what ~at f =
+        match f () with
+        | _ -> Alcotest.failf "%s: straddle into %s did not fault" engine what
+        | exception Sva_hw.Mmu.Mmu_fault (a, _) ->
+            Alcotest.(check int) (name (what ^ " fault address")) at a
+      in
+      (* v+2 is unmapped *)
+      let addr2 = page (v + 2) - 4 in
+      expect_fault "an unmapped page" ~at:(page (v + 2)) (fun () ->
+          Interp.call t "peek" [ Int64.of_int addr2 ]);
+      expect_fault "an unmapped page" ~at:(page (v + 2)) (fun () ->
+          Interp.call t "poke" [ Int64.of_int addr2; value ]);
+      (* a read-only next page refuses the store; the first page keeps
+         its old bytes *)
+      Svaos.mmu_map_page sys ~sid ~vpn:(v + 2) ~ppn:(v + 12) ~writable:false;
+      expect_fault "a read-only page" ~at:(page (v + 2)) (fun () ->
+          Interp.call t "poke" [ Int64.of_int addr2; value ]);
+      Alcotest.(check int64) (name "no partial store") 0L
+        (phys (page frame_g + Machine.page_size - 4) 4))
+    engines
+
+(* memmove with the destination inside the source, above it, and longer
+   than a page: every byte must arrive, on every configuration and
+   engine. *)
+let memmove_src =
+  "extern void *memmove(char *dst, char *src, long n);\n\
+   char buf[12000];\n\
+   long f(void) {\n\
+  \  for (long i = 0; i < 12000; i = i + 1) buf[i] = (char)(i * 7 + 3);\n\
+  \  memmove(buf + 100, buf, 9000);\n\
+  \  long bad = 0;\n\
+  \  for (long i = 0; i < 12000; i = i + 1) {\n\
+  \    long j = i;\n\
+  \    if (i >= 100 && i < 9100) j = i - 100;\n\
+  \    if (((long)buf[i] & 255) != ((j * 7 + 3) & 255)) bad = bad + 1;\n\
+  \  }\n\
+  \  return bad;\n\
+   }"
+
+let test_overlapping_memmove () =
+  List.iter
+    (fun conf ->
+      let built = Pipeline.build ~conf ~name:"memmove" [ memmove_src ] in
+      List.iter
+        (fun eng_kind ->
+          let engine = { Pipeline.default_engine with Pipeline.eng_kind } in
+          let t = Pipeline.instantiate ~engine built in
+          Alcotest.(check (option int64))
+            (Printf.sprintf "wrong bytes (%s, %s)" (Pipeline.conf_name conf)
+               (Pipeline.engine_name eng_kind))
+            (Some 0L) (Interp.call t "f" []))
+        Pipeline.all_engines)
+    [ Pipeline.Native; Pipeline.Sva_safe ]
+
 let test_cycle_model_monotone () =
   let m =
     build_module (fun m ->
@@ -337,5 +444,10 @@ let () =
           Alcotest.test_case "indirect via memory" `Quick
             test_indirect_call_through_memory;
         ] );
-      ( "mmu", [ Alcotest.test_case "user translation" `Quick test_user_translation ] );
+      ( "mmu",
+        [
+          Alcotest.test_case "user translation" `Quick test_user_translation;
+          Alcotest.test_case "user page straddle" `Quick test_user_page_straddle;
+          Alcotest.test_case "overlapping memmove" `Quick test_overlapping_memmove;
+        ] );
     ]

@@ -243,6 +243,53 @@ let test_cache_hit_across_instances () =
   Alcotest.(check bool) "signatures were re-verified" true
     (after_second.Stats.sig_verifications > after_first.Stats.sig_verifications)
 
+(* The per-function memo spares a warm instantiation the encode and the
+   hashing, never the check: each reuse still verifies its entry once. *)
+let test_warm_reuse_verifies_every_entry () =
+  let built = build_sum () in
+  let nfuncs = List.length built.Pipeline.bl_mod.Sva_ir.Irmod.m_funcs in
+  Closcomp.clear_cache ();
+  ignore (Pipeline.instantiate ~engine:Pipeline.aot_engine built);
+  Stats.reset_tier ();
+  ignore (Pipeline.instantiate ~engine:Pipeline.aot_engine built);
+  let warm = Stats.read_tier () in
+  Alcotest.(check int) "one verification per function" nfuncs
+    warm.Stats.sig_verifications;
+  Alcotest.(check int) "every function hits" nfuncs warm.Stats.tcache_hits;
+  Alcotest.(check int) "nothing re-translated" 0 warm.Stats.tcache_misses
+
+(* A function linked later under an already-translated name is a
+   different [Func.t]: it gets its own key and its own translation, not
+   the memoized bytecode of its namesake. *)
+let test_linked_namesake_gets_own_translation () =
+  Closcomp.clear_cache ();
+  let first =
+    Pipeline.build ~conf:Pipeline.Native ~name:"first"
+      [ "long g(long x) { return x + 1; }" ]
+  in
+  let t1 = Pipeline.instantiate ~engine:Pipeline.aot_engine first in
+  Alcotest.(check (option int64)) "first g" (Some 4L) (Interp.call t1 "g" [ 3L ]);
+  let key1 = key_of first "g" in
+  let host =
+    Pipeline.build ~conf:Pipeline.Native ~name:"host"
+      [ "long h(long x) { return x; }" ]
+  in
+  let t2 = Pipeline.instantiate ~engine:Pipeline.aot_engine host in
+  let second =
+    Pipeline.build ~conf:Pipeline.Native ~name:"second"
+      [ "long g(long x) { return x * 5; }" ]
+  in
+  Interp.link_module t2 second.Pipeline.bl_mod;
+  Alcotest.(check (option int64)) "linked g runs its own code" (Some 15L)
+    (Interp.call t2 "g" [ 3L ]);
+  let key2 = key_of second "g" in
+  Alcotest.(check bool) "own cache key" true (key1 <> key2);
+  match (Closcomp.cached_entry key1, Closcomp.cached_entry key2) with
+  | Some e1, Some e2 ->
+      Alcotest.(check bool) "own translation" true
+        (e1.Signing.fe_bytecode <> e2.Signing.fe_bytecode)
+  | _ -> Alcotest.fail "both translations of g are cached"
+
 let test_tampered_entry_falls_back () =
   let built = build_sum () in
   (* reference result from the interpreter *)
@@ -268,7 +315,7 @@ let test_tampered_entry_falls_back () =
   (* the fallback re-signed the entry: it verifies again *)
   (match Closcomp.cached_entry key with
   | Some fe ->
-      Signing.verify_function fe ~bytecode:fe.Signing.fe_bytecode
+      Signing.verify_function fe ~key ~bytecode:fe.Signing.fe_bytecode
         ~native:fe.Signing.fe_native
   | None -> Alcotest.fail "entry missing after fallback")
 
@@ -365,7 +412,7 @@ let test_disk_corruption mutate () =
       let repaired =
         Signing.decode_fentry (In_channel.with_open_bin path In_channel.input_all)
       in
-      Signing.verify_function repaired
+      Signing.verify_function repaired ~key
         ~bytecode:repaired.Signing.fe_bytecode
         ~native:repaired.Signing.fe_native)
 
@@ -410,6 +457,10 @@ let () =
         [
           Alcotest.test_case "signed entries reused across instances" `Quick
             test_cache_hit_across_instances;
+          Alcotest.test_case "warm reuse verifies every entry" `Quick
+            test_warm_reuse_verifies_every_entry;
+          Alcotest.test_case "linked namesake gets its own translation" `Quick
+            test_linked_namesake_gets_own_translation;
           Alcotest.test_case "tampered signature falls back" `Quick
             test_tampered_entry_falls_back;
           Alcotest.test_case "tampered native artifact falls back" `Quick
